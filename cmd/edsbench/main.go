@@ -13,10 +13,12 @@
 //	go run ./cmd/edsbench bench-output.txt
 //	go run ./cmd/edsbench -update bench-output.txt   # refresh the baseline
 //
-// Benchmarks present in the input but absent from the baseline are
-// ignored (the baseline names what is gated); baseline entries missing
-// from the input fail the gate, so the baseline cannot silently rot
-// when a benchmark is renamed or deleted — refresh it with -update.
+// When gating, benchmarks present in the input but absent from the
+// baseline are ignored (the baseline names what is gated); baseline
+// entries missing from the input fail the gate, so the baseline cannot
+// silently rot when a benchmark is renamed or deleted. -update rewrites
+// the baseline to exactly the benchmarks in its input, so feed it the
+// output of regenerateCommand, which runs every gated benchmark.
 package main
 
 import (
@@ -28,6 +30,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -140,17 +143,25 @@ func diff(baseline []Bench, got map[string]Bench, tolerance float64, slack int64
 	return problems
 }
 
-// regenerate builds a fresh baseline from measured results, keeping the
-// gated set stable: only benchmarks already in the baseline are
-// refreshed, in the baseline's order. Gating a new benchmark means
-// adding its entry to BENCH_baseline.json by hand first — an explicit,
-// reviewable act — after which -update keeps it current.
-func regenerate(old *Baseline, got map[string]Bench, cpu, benchtime string) *Baseline {
-	fresh := &Baseline{
-		Comment: "Baseline snapshot of the engine benchmarks; allocs_per_op is the gated number (ns/op moves with the host). " +
-			"Regenerate with: go test -short -run='^$' -bench='BenchmarkEngines|BenchmarkSharded' -benchmem -benchtime=5x . | go run ./cmd/edsbench -update " +
+// regenerateCommand produces the benchmark output the committed baseline
+// is regenerated from. Its -bench pattern and package list must cover
+// every gated benchmark: -update drops baseline entries its input lacks.
+const regenerateCommand = "go test -short -run='^$' " +
+	"-bench='^(BenchmarkEngines|BenchmarkSharded|BenchmarkFlightJoinFinish|BenchmarkBatchedRun|BenchmarkDecode)$' " +
+	"-benchmem -benchtime=5x . ./internal/server ./internal/graph | go run ./cmd/edsbench -update"
+
+// regenerate builds a fresh baseline from measured results: the
+// baseline's benchmarks that were measured, in the baseline's order,
+// then benchmarks new to the baseline, by name. It also returns the
+// names of baseline entries the results lack, which the fresh baseline
+// no longer gates.
+func regenerate(old *Baseline, got map[string]Bench, cpu, benchtime string) (fresh *Baseline, dropped []string) {
+	fresh = &Baseline{
+		Comment: "Baseline snapshot of the engine, server and decoder benchmarks; allocs_per_op is the gated number (ns/op moves with the host). " +
+			"Regenerate with: " + regenerateCommand + " " +
 			"— steady-state rounds are pinned at 0 allocations by TestEngineRoundsAllocationFree and TestMigratedAlgorithmsZeroAllocSteadyState, " +
-			"and full-run construction is pinned O(1) by TestSetupAllocationBudget, so every alloc here is per-run slab or Result assembly.",
+			"full-run construction is pinned O(1) by TestSetupAllocationBudget, and decoding by TestDecodeAllocationBudget, " +
+			"so every alloc here is per-run slab, Result or graph assembly.",
 		Generated: time.Now().Format("2006-01-02"),
 		Go:        runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
 		CPU:       cpu,
@@ -159,12 +170,24 @@ func regenerate(old *Baseline, got map[string]Bench, cpu, benchtime string) *Bas
 	if fresh.CPU == "" {
 		fresh.CPU = old.CPU
 	}
+	known := make(map[string]bool, len(old.Benchmarks))
 	for _, want := range old.Benchmarks {
+		known[want.Name] = true
 		if g, ok := got[want.Name]; ok {
 			fresh.Benchmarks = append(fresh.Benchmarks, g)
+		} else {
+			dropped = append(dropped, want.Name)
 		}
 	}
-	return fresh
+	var added []Bench
+	for name, g := range got {
+		if !known[name] {
+			added = append(added, g)
+		}
+	}
+	sort.Slice(added, func(i, j int) bool { return added[i].Name < added[j].Name })
+	fresh.Benchmarks = append(fresh.Benchmarks, added...)
+	return fresh, dropped
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
@@ -211,10 +234,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *update {
-		fresh := regenerate(&baseline, got, cpu, *benchtime)
-		if len(fresh.Benchmarks) == 0 {
-			fmt.Fprintln(stderr, "edsbench: refusing to write an empty baseline: no measured benchmark matches the current baseline set")
-			return 2
+		fresh, dropped := regenerate(&baseline, got, cpu, *benchtime)
+		for _, name := range dropped {
+			fmt.Fprintf(stderr, "edsbench: %s is not in the benchmark output and is no longer gated\n", name)
 		}
 		out, err := json.MarshalIndent(fresh, "", "  ")
 		if err != nil {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -155,7 +157,7 @@ func TestRunGateAndUpdate(t *testing.T) {
 		t.Fatalf("gate should pass, exit %d: %s", code, errOut.String())
 	}
 
-	// -update banks the improvement and keeps the gated set stable.
+	// -update banks the improvement and gates the new benchmark too.
 	out.Reset()
 	errOut.Reset()
 	code = run([]string{"-baseline", path, "-update"}, strings.NewReader(sampleOutput), &out, &errOut)
@@ -170,7 +172,8 @@ func TestRunGateAndUpdate(t *testing.T) {
 	if err := json.Unmarshal(raw, &fresh); err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.Benchmarks) != 1 || fresh.Benchmarks[0].AllocsPerOp != 40 {
+	if len(fresh.Benchmarks) != 2 || fresh.Benchmarks[0].AllocsPerOp != 40 ||
+		fresh.Benchmarks[1].Name != "BenchmarkNew/NotGated" || fresh.Benchmarks[1].AllocsPerOp != 77 {
 		t.Fatalf("baseline not refreshed: %+v", fresh.Benchmarks)
 	}
 	if fresh.CPU != "Test CPU" {
@@ -204,4 +207,97 @@ func TestRunRejectsEmptyInput(t *testing.T) {
 	if code := run([]string{"-baseline", path}, strings.NewReader("PASS\n"), &out, &errOut); code != 2 {
 		t.Fatalf("empty input should exit 2, got %d", code)
 	}
+}
+
+// TestUpdateReportsDroppedEntries: a baseline entry missing from the
+// -update input stops being gated, and the update says so.
+func TestUpdateReportsDroppedEntries(t *testing.T) {
+	path := writeBaseline(t, t.TempDir(), Baseline{Benchmarks: []Bench{
+		{Name: "BenchmarkEngines/Sequential", AllocsPerOp: 40},
+		{Name: "BenchmarkBatchedRun", AllocsPerOp: 36},
+	}})
+	var out, errOut strings.Builder
+	if code := run([]string{"-baseline", path, "-update"}, strings.NewReader(sampleOutput), &out, &errOut); code != 0 {
+		t.Fatalf("update failed, exit %d: %s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "BenchmarkBatchedRun is not in the benchmark output") {
+		t.Errorf("dropped entry not reported: %q", errOut.String())
+	}
+}
+
+// TestRegenerateCommandCoversBaseline checks the committed baseline
+// against the command its _comment documents: the -bench pattern must
+// select every gated benchmark and the package list must include every
+// package defining one, or following the comment would silently drop
+// those entries from the gate.
+func TestRegenerateCommandCoversBaseline(t *testing.T) {
+	root := filepath.Join("..", "..")
+	raw, err := os.ReadFile(filepath.Join(root, "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseline Baseline
+	if err := json.Unmarshal(raw, &baseline); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(baseline.Comment, regenerateCommand) {
+		t.Errorf("baseline _comment does not document regenerateCommand:\n%s", baseline.Comment)
+	}
+	m := regexp.MustCompile(`-bench='([^']*)' .*-benchtime=\S+ (.*) \| go run`).FindStringSubmatch(regenerateCommand)
+	if m == nil {
+		t.Fatalf("cannot parse regenerateCommand %q", regenerateCommand)
+	}
+	pattern := regexp.MustCompile(m[1])
+	packages := map[string]bool{}
+	for _, pkg := range strings.Fields(m[2]) {
+		packages[filepath.Clean(pkg)] = true
+	}
+	// Where each top-level benchmark function is defined.
+	defined := map[string]string{}
+	decl := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || fileExists(filepath.Join(path, "go.mod"))) {
+			return filepath.SkipDir // hidden directories and other modules
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, sm := range decl.FindAllStringSubmatch(string(src), -1) {
+			defined[sm[1]] = rel
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range baseline.Benchmarks {
+		top, _, _ := strings.Cut(b.Name, "/")
+		if !pattern.MatchString(top) {
+			t.Errorf("%s: -bench pattern %q does not select %s", b.Name, m[1], top)
+		}
+		pkg, ok := defined[top]
+		if !ok {
+			t.Errorf("%s: no func %s in the module", b.Name, top)
+			continue
+		}
+		if !packages[pkg] {
+			t.Errorf("%s: defined in %s, which the regeneration command does not benchmark", b.Name, pkg)
+		}
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

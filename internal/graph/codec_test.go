@@ -2,7 +2,9 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,5 +140,45 @@ conn 0 1 1 1
 	}
 	if g.N() != 2 || g.M() != 1 {
 		t.Errorf("got n=%d m=%d", g.N(), g.M())
+	}
+}
+
+// TestReadGraphLineBudget checks the 64 KiB line limit at its boundary
+// against the frozen decoder of legacy_test.go, including a final line
+// without a newline and a double wire reported ahead of a long line.
+// (Inputs this large slow the differential fuzzer to a crawl, so they
+// are checked here rather than seeded.)
+func TestReadGraphLineBudget(t *testing.T) {
+	for _, input := range []string{
+		"nodes 1\n#" + strings.Repeat("x", 65534) + "\nconn 0 1 0 1\n",
+		"nodes 1\n#" + strings.Repeat("x", 65534) + "\r\nconn 0 1 0 1\n",
+		"nodes 1\n#" + strings.Repeat("x", 65535) + "\nconn 0 1 0 1\n",
+		"nodes 1\nconn 0 1 0 1\n#" + strings.Repeat("x", 65534),
+		"nodes 1\nconn 0 1 0 1\n#" + strings.Repeat("x", 65535),
+		"nodes 2\nconn 0 1 1 1\nconn 0 1 1 1\n#" + strings.Repeat("x", 70000),
+	} {
+		_, err := ReadGraph(strings.NewReader(input))
+		_, want := legacyReadGraphLimits(strings.NewReader(input), DefaultLimits)
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Errorf("%q...: error %v, frozen decoder %v", input[:24], err, want)
+		}
+	}
+}
+
+// TestReadGraphHugePortBesideBadEndpoint: a line naming a huge port next
+// to an out-of-range node is rejected like any bad endpoint, without
+// allocating for the named port. The port budget is charged only for
+// lines whose endpoints both exist, so nothing else bounds this case.
+func TestReadGraphHugePortBesideBadEndpoint(t *testing.T) {
+	const input = "nodes 2\nconn 0 10000000 5 1\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadGraphLimits(strings.NewReader(input), Limits{MaxNodes: 64, MaxPorts: 256})
+	runtime.ReadMemStats(&after)
+	if want := "graph: line 2: graph: node 5 out of range [0,2)"; fmt.Sprint(err) != want {
+		t.Errorf("err = %v, want %s", err, want)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Errorf("decode allocated %d bytes for a 27-byte input", grown)
 	}
 }

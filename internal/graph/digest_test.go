@@ -2,9 +2,12 @@ package graph_test
 
 import (
 	"bytes"
+	"encoding/hex"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"eds/internal/gen"
 	"eds/internal/graph"
 )
 
@@ -48,5 +51,40 @@ func TestDigestCanonical(t *testing.T) {
 	}
 	if graph.Digest(g1) == graph.Digest(g4) {
 		t.Error("structural change did not move the digest")
+	}
+}
+
+// TestDigestGolden pins the digests of generator outputs: a change to a
+// generator, to graph construction, or to Digest moves one of them, and
+// with it every cache key and cluster owner.
+func TestDigestGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		want string
+	}{
+		{"Cycle(7)", gen.Cycle(7), "6fa4a0b05a03b64359d648399ecf497357934a9d43fa64bf3c46b0f39d34b4cb"},
+		{"Torus(4,5)", gen.Torus(4, 5), "5a5164524a58e21e99e9d294898102873872b553769b471da8edaf23c77de4fa"},
+		{"Hypercube(4)", gen.Hypercube(4), "064bde3f4483e648b76266e7ac11d46d72e6a8bf643864a63394af394699f9f7"},
+		{"Petersen", gen.Petersen(), "f8d1939f26a6af9b8cffbf612ea79fafb2140475139a98c2ac7b3f20dd4073d8"},
+		{"RandomRegular(seed=1,n=50,d=3)", gen.MustRandomRegular(rand.New(rand.NewSource(1)), 50, 3),
+			"9476b96d55feb2e31a7b71cbb39b25c772d7f245e44121bcca62bedae09726f2"},
+		{"RandomBoundedDegree(seed=2,n=40,maxDeg=4,p=0.3)", gen.RandomBoundedDegree(rand.New(rand.NewSource(2)), 40, 4, 0.3),
+			"a4e0134645b4ec85a3132ea34608182f1bf28ce55c1300e00c71abbf11ce033d"},
+	}
+	for _, tc := range cases {
+		d := graph.Digest(tc.g)
+		if got := hex.EncodeToString(d[:]); got != tc.want {
+			t.Errorf("Digest(%s) = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+func BenchmarkDigest(b *testing.B) {
+	g := gen.MustRandomRegular(rand.New(rand.NewSource(1)), 100_000, 4)
+	b.SetBytes(int64(4 * (g.N() + 1 + g.NumPorts())))
+	b.ReportAllocs()
+	for b.Loop() {
+		graph.Digest(g)
 	}
 }

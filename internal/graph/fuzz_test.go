@@ -2,9 +2,29 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// readGraphSeeds is the FuzzReadGraph corpus, shared with
+// FuzzReadGraphDifferential.
+var readGraphSeeds = []string{
+	"nodes 2\nconn 0 1 1 1\n",
+	"nodes 3\nconn 0 1 1 1\nconn 1 2 2 1\n",
+	"nodes 1\nconn 0 1 0 1\n",              // directed loop
+	"nodes 1\nconn 0 1 0 2\n",              // undirected loop
+	"# comment\n\nnodes 2\nconn 0 1 1 1\n", // comments + blanks
+	"nodes",                                // truncated directive
+	"nodes 99999999999999999999",           // overflows int
+	"nodes 2\nconn 0 1000000 1 1\n",        // huge port number
+	"nodes -5\n",
+	"nodes 2\nnodes 2\n",
+	"conn 0 1 1 1\n",
+}
 
 // FuzzReadGraph feeds arbitrary bytes to the codec, which now parses
 // untrusted network input for the edsd server. The decoder must never
@@ -12,17 +32,9 @@ import (
 // it does accept must validate, and the WriteTo → ReadGraph round trip
 // of an accepted graph must be the identity.
 func FuzzReadGraph(f *testing.F) {
-	f.Add([]byte("nodes 2\nconn 0 1 1 1\n"))
-	f.Add([]byte("nodes 3\nconn 0 1 1 1\nconn 1 2 2 1\n"))
-	f.Add([]byte("nodes 1\nconn 0 1 0 1\n"))              // directed loop
-	f.Add([]byte("nodes 1\nconn 0 1 0 2\n"))              // undirected loop
-	f.Add([]byte("# comment\n\nnodes 2\nconn 0 1 1 1\n")) // comments + blanks
-	f.Add([]byte("nodes"))                                // truncated directive
-	f.Add([]byte("nodes 99999999999999999999"))           // overflows int
-	f.Add([]byte("nodes 2\nconn 0 1000000 1 1\n"))        // huge port number
-	f.Add([]byte("nodes -5\n"))
-	f.Add([]byte("nodes 2\nnodes 2\n"))
-	f.Add([]byte("conn 0 1 1 1\n"))
+	for _, seed := range readGraphSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Tight limits keep the fuzzer fast and prove the caps bound
 		// allocation no matter what the input declares.
@@ -57,6 +69,100 @@ func FuzzReadGraph(f *testing.F) {
 		}
 		if buf.String() != canonical {
 			t.Fatalf("canonical form is not a fixed point:\n%q\nvs\n%q", canonical, buf.String())
+		}
+	})
+}
+
+// FuzzReadGraphDifferential checks the flat decoder against the frozen
+// decoder of legacy_test.go: both must accept the same inputs, fail with
+// the same error (the first failing line, ErrTooLarge or not), and build
+// the same graph. The flat decoder must also behave the same whether or
+// not the reader reports its length.
+func FuzzReadGraphDifferential(f *testing.F) {
+	for _, seed := range readGraphSeeds {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range []string{
+		// A double-wired port on line 3 is the first error, before the
+		// over-budget port on line 5, a bad field, or a bad endpoint.
+		"nodes 3\nconn 0 1 1 1\nconn 0 1 2 1\n# c\nconn 0 2 1 300\n",
+		"nodes 2\nconn 0 1 1 1\nconn 1 1 0 2\nconn 0 x 1 1\n",
+		"nodes 2\nconn 0 1 1 1\nconn 1 2 0 1\nconn 1 3 5 1\n",
+		"nodes 2\nconn 0 1 1 1\nconn 0 2 1 2\nnodes 2\n",
+		// A taken port named beside a bad endpoint on the same line.
+		"nodes 2\nconn 0 1 1 1\nconn 0 1 5 1\n",
+		"nodes 2\nconn 0 1 1 1\nconn 1 1 0 0\n",
+		"nodes 2\nconn 0 2 1 1\nconn 0 1 7 1\n",
+		// Budget charged on a line that also double-wires.
+		"nodes 2\nconn 0 1 1 1\nconn 0 1 1 255\n",
+		// Port gaps, and a gap beside a double wire.
+		"nodes 2\nconn 0 2 1 1\n",
+		"nodes 3\nconn 0 3 1 1\nconn 0 1 2 1\n",
+		"nodes 3\nconn 0 2 1 1\nconn 0 2 2 1\n",
+		// Directed and undirected loops, and loops colliding.
+		"nodes 1\nconn 0 1 0 1\nconn 0 2 0 3\n",
+		"nodes 1\nconn 0 1 0 2\nconn 0 2 0 2\n",
+		"nodes 2\nconn 0 1 0 1\nconn 1 1 0 1\n",
+		// Line terminators and whitespace.
+		"nodes 2\r\nconn 0 1 1 1\r\n",
+		"nodes 2\r\r\nconn 0 1 1 1\r",
+		"nodes 2\n\t conn 0\v1\f1 1 \n",
+		"nodes\u00a02\nconn\u20030 1 1 1\u2028\n",
+		"nodes 2\n\xffconn 0 1 1 1\n",
+		"nodes 2\nconn 0 1 1 1 \xc2\n",
+		// Signs, leading zeros and overflow.
+		"nodes +2\nconn -0 +1 01 001\n",
+		"nodes 2\nconn 0 1 1 9223372036854775808\n",
+		"nodes 2\nconn 0 1 1 -9223372036854775808\n",
+		"nodes 2\nconn 0 1 1 1_0\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lim := Limits{MaxNodes: 64, MaxPorts: 256}
+		want, wantErr := legacyReadGraphLimits(bytes.NewReader(data), lim)
+		if errors.Is(wantErr, errLegacyUnbounded) {
+			t.Skip("the frozen decoder would grow a port table without bound")
+		}
+		got, err := ReadGraphLimits(bytes.NewReader(data), lim)
+		unsized, unsizedErr := ReadGraphLimits(struct{ io.Reader }{bytes.NewReader(data)}, lim)
+		if fmt.Sprint(err) != fmt.Sprint(unsizedErr) || err == nil && !got.Equal(unsized) {
+			t.Fatalf("decoding depends on the reader: %v vs %v", err, unsizedErr)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("error = %v, frozen decoder: %v", err, wantErr)
+		}
+		if errors.Is(err, ErrTooLarge) != errors.Is(wantErr, ErrTooLarge) {
+			t.Fatalf("ErrTooLarge classification differs: %v vs %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if got.N() != len(want.conn) {
+			t.Fatalf("N = %d, frozen decoder %d", got.N(), len(want.conn))
+		}
+		for v := range want.conn {
+			if got.Deg(v) != len(want.conn[v]) {
+				t.Fatalf("Deg(%d) = %d, frozen decoder %d", v, got.Deg(v), len(want.conn[v]))
+			}
+			for i, q := range want.conn[v] {
+				if got.P(v, i+1) != q || got.EdgeAt(v, i+1) != want.edgeAt[v][i] {
+					t.Fatalf("port (%d,%d): P=%v EdgeAt=%d, frozen decoder %v %d",
+						v, i+1, got.P(v, i+1), got.EdgeAt(v, i+1), q, want.edgeAt[v][i])
+				}
+			}
+		}
+		off, route := want.routing()
+		if !slices.Equal(got.Edges(), want.edges) || !slices.Equal(got.PortOffsets(), off) ||
+			!slices.Equal(got.RoutingTable(), route) {
+			t.Fatalf("flat views differ:\nEdges %v\n  vs  %v\nRoutingTable %v\n  vs  %v",
+				got.Edges(), want.edges, got.RoutingTable(), route)
+		}
+		if Digest(got) != want.digest() {
+			t.Fatal("Digest differs from the frozen decoder's")
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("accepted graph fails validation: %v", err)
 		}
 	})
 }

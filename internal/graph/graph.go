@@ -7,6 +7,19 @@
 // involution routes messages: what node v sends to its port i is received
 // by node u from port j whenever p(v, i) = (u, j).
 //
+// A Graph stores exactly that, once, in flat CSR form. Ports are numbered
+// globally in node order: port (v, i) has global index PortOffsets()[v] +
+// i - 1, so the ports of node v occupy [PortOffsets()[v],
+// PortOffsets()[v+1]) and the offsets encode the degree function. The
+// routing table maps every global port index to the global index of its
+// involution partner; it is a self-inverse permutation whose fixed points
+// are the directed loops, and an engine routes a flat outbox into a flat
+// inbox with one gather, inbox[j] = outbox[RoutingTable()[j]]. A per-port
+// index into the canonical edge list completes the storage. Everything
+// else (Deg, P, EdgeAt, Neighbour, MaxDegree, Regular, Equal, Validate)
+// is derived from these arrays. Slices returned by the accessors share
+// the graph's storage and must be treated as read-only.
+//
 // The package supports multigraphs: parallel edges, undirected loops
 // (p(v, i) = (v, j) with i ≠ j), and directed loops (fixed points
 // p(v, i) = (v, i)). Simple graphs are a validated special case. Covering
@@ -16,9 +29,8 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
-	"sync"
 )
 
 // Port identifies one port of one node. Node is the 0-based node index and
@@ -84,21 +96,18 @@ func (e Edge) String() string {
 	return fmt.Sprintf("{%d,%d}[%d:%d]", e.A.Node, e.B.Node, e.A.Num, e.B.Num)
 }
 
-// Graph is an immutable port-numbered graph. Construct one with a Builder,
-// or with a generator from internal/gen. The zero value is the empty graph.
+// Graph is an immutable port-numbered graph in the flat form described in
+// the package documentation. Construct one with a Builder, ReadGraph, or a
+// generator from internal/gen.
 type Graph struct {
-	conn   [][]Port // conn[v][i-1] = p(v, i)
-	edges  []Edge   // canonical edge list, sorted by Edge.A
-	edgeAt [][]int  // edgeAt[v][i-1] = index into edges for the edge at (v, i)
-
-	// Lazily built flat routing view (see routing.go).
-	routeOnce sync.Once
-	portOff   []int32 // portOff[v] = global index of port (v, 1); len N()+1
-	route     []int32 // route[j] = global index of the partner of port j
+	portOff []int32 // portOff[v] = global index of port (v, 1); len N()+1
+	route   []int32 // route[j] = global index of the partner of port j
+	edgeOf  []int32 // edgeOf[j] = index into edges of the edge at port j
+	edges   []Edge  // canonical edge list, sorted by Edge.A
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.conn) }
+func (g *Graph) N() int { return len(g.portOff) - 1 }
 
 // M returns the number of edges (loops count once, a directed loop is one
 // edge, parallel edges count separately).
@@ -106,15 +115,30 @@ func (g *Graph) M() int { return len(g.edges) }
 
 // Deg returns the degree of node v, i.e. its number of ports. A directed
 // loop contributes 1 to the degree, an undirected loop contributes 2.
-func (g *Graph) Deg(v int) int { return len(g.conn[v]) }
+func (g *Graph) Deg(v int) int { return int(g.portOff[v+1] - g.portOff[v]) }
+
+// port returns the global index of port (v, i). It panics when i is not a
+// port of v.
+func (g *Graph) port(v, i int) int32 {
+	if i < 1 || i > g.Deg(v) {
+		panic(fmt.Sprintf("graph: port %d out of range for node %d of degree %d", i, v, g.Deg(v)))
+	}
+	return g.portOff[v] + int32(i-1)
+}
 
 // P evaluates the involution: P(v, i) is the port connected to port i of
 // node v. Port numbers are 1-based.
-func (g *Graph) P(v, i int) Port { return g.conn[v][i-1] }
+func (g *Graph) P(v, i int) Port {
+	e := g.edges[g.edgeOf[g.port(v, i)]]
+	if e.A == (Port{Node: v, Num: i}) {
+		return e.B
+	}
+	return e.A
+}
 
 // EdgeAt returns the index (into Edges) of the edge attached to port i of
 // node v.
-func (g *Graph) EdgeAt(v, i int) int { return g.edgeAt[v][i-1] }
+func (g *Graph) EdgeAt(v, i int) int { return int(g.edgeOf[g.port(v, i)]) }
 
 // Edge returns the edge with the given index.
 func (g *Graph) Edge(idx int) Edge { return g.edges[idx] }
@@ -122,13 +146,27 @@ func (g *Graph) Edge(idx int) Edge { return g.edges[idx] }
 // Edges returns the canonical edge list. The caller must not modify it.
 func (g *Graph) Edges() []Edge { return g.edges }
 
+// NumPorts returns the total number of ports, i.e. the sum of all node
+// degrees (the length of the routing table).
+func (g *Graph) NumPorts() int { return len(g.route) }
+
+// PortOffsets returns the per-node offsets into the global port space:
+// a slice of length N()+1 where entry v is the global index of port
+// (v, 1) and entry N() is the total port count. The caller must not
+// modify the returned slice.
+func (g *Graph) PortOffsets() []int32 { return g.portOff }
+
+// RoutingTable returns the flat involution: entry j is the global port
+// index of P(v, i) where j is the global index of port (v, i). The table
+// is a self-inverse permutation of [0, NumPorts()). The caller must not
+// modify the returned slice.
+func (g *Graph) RoutingTable() []int32 { return g.route }
+
 // MaxDegree returns the maximum node degree, or 0 for the empty graph.
 func (g *Graph) MaxDegree() int {
 	maxDeg := 0
-	for v := range g.conn {
-		if d := len(g.conn[v]); d > maxDeg {
-			maxDeg = d
-		}
+	for v := 0; v < g.N(); v++ {
+		maxDeg = max(maxDeg, g.Deg(v))
 	}
 	return maxDeg
 }
@@ -136,14 +174,9 @@ func (g *Graph) MaxDegree() int {
 // Regular reports whether all nodes have the same degree and returns that
 // degree. The empty graph is vacuously 0-regular.
 func (g *Graph) Regular() (d int, ok bool) {
-	if len(g.conn) == 0 {
-		return 0, true
-	}
-	d = len(g.conn[0])
-	for v := 1; v < len(g.conn); v++ {
-		if len(g.conn[v]) != d {
-			return 0, false
-		}
+	// No degree exceeds the maximum, so they sum to N·max only if all equal it.
+	if d = g.MaxDegree(); g.NumPorts() != d*g.N() {
+		return 0, false
 	}
 	return d, true
 }
@@ -168,80 +201,64 @@ func (g *Graph) IsSimple() bool {
 }
 
 // Neighbour returns the node at the other end of port i of node v.
-func (g *Graph) Neighbour(v, i int) int { return g.conn[v][i-1].Node }
+func (g *Graph) Neighbour(v, i int) int { return g.P(v, i).Node }
 
 // Neighbours returns the multiset of neighbours of v in port order.
 // The result is freshly allocated.
 func (g *Graph) Neighbours(v int) []int {
-	out := make([]int, len(g.conn[v]))
-	for i, p := range g.conn[v] {
-		out[i] = p.Node
+	out := make([]int, g.Deg(v))
+	for i := range out {
+		out[i] = g.Neighbour(v, i+1)
 	}
 	return out
 }
 
 // HasEdgeBetween reports whether at least one edge joins u and v.
-func (g *Graph) HasEdgeBetween(u, v int) bool {
-	for _, p := range g.conn[u] {
-		if p.Node == v {
-			return true
-		}
-	}
-	return false
-}
+func (g *Graph) HasEdgeBetween(u, v int) bool { return g.PortBetween(u, v) != 0 }
 
 // PortBetween returns v's port number of some edge {v, u}, or 0 if none.
 func (g *Graph) PortBetween(v, u int) int {
-	for i, p := range g.conn[v] {
-		if p.Node == u {
-			return i + 1
+	for i := 1; i <= g.Deg(v); i++ {
+		if g.Neighbour(v, i) == u {
+			return i
 		}
 	}
 	return 0
 }
 
 // IncidentEdges returns the indices of all edges incident to v, in port
-// order. Loops appear once per incident port pair for undirected loops
-// (i.e. once, deduplicated) and once for directed loops.
+// order. An undirected loop appears once, at its first port; a directed
+// loop appears once.
 func (g *Graph) IncidentEdges(v int) []int {
-	out := make([]int, 0, len(g.conn[v]))
-	seen := make(map[int]bool, len(g.conn[v]))
-	for i := range g.conn[v] {
-		idx := g.edgeAt[v][i]
-		if !seen[idx] {
-			seen[idx] = true
-			out = append(out, idx)
+	out := make([]int, 0, g.Deg(v))
+	for i := 1; i <= g.Deg(v); i++ {
+		idx := g.EdgeAt(v, i)
+		if e := g.edges[idx]; e.IsLoop() && e.A.Num < i {
+			continue
 		}
+		out = append(out, idx)
 	}
 	return out
 }
 
-// Validate checks the structural invariants: every port is assigned, the
-// connection function is an involution, and the edge index is consistent.
+// Validate checks the structural invariants: the offsets describe the
+// port space, the routing table is an involution on it, and every port's
+// edge index names the edge joining it to its partner.
 func (g *Graph) Validate() error {
-	for v := range g.conn {
-		for i1, q := range g.conn[v] {
-			i := i1 + 1
-			if q.Node < 0 || q.Node >= len(g.conn) {
-				return fmt.Errorf("graph: port (%d,%d) connects to out-of-range node %d", v, i, q.Node)
-			}
-			if q.Num < 1 || q.Num > len(g.conn[q.Node]) {
-				return fmt.Errorf("graph: port (%d,%d) connects to out-of-range port %v", v, i, q)
-			}
-			back := g.conn[q.Node][q.Num-1]
-			if back != (Port{Node: v, Num: i}) {
-				return fmt.Errorf("graph: involution violated at (%d,%d): p(%d,%d)=%v but p%v=%v",
-					v, i, v, i, q, q, back)
-			}
-			idx := g.edgeAt[v][i1]
-			if idx < 0 || idx >= len(g.edges) {
-				return fmt.Errorf("graph: edge index out of range at (%d,%d)", v, i)
-			}
-			e := g.edges[idx]
-			self := Port{Node: v, Num: i}
-			if e.A != self && e.B != self {
-				return fmt.Errorf("graph: edge index at (%d,%d) points to unrelated edge %v", v, i, e)
-			}
+	total := int32(len(g.route))
+	if len(g.portOff) == 0 || g.portOff[0] != 0 || !slices.IsSorted(g.portOff) ||
+		g.portOff[g.N()] != total || len(g.edgeOf) != len(g.route) {
+		return fmt.Errorf("graph: port offsets, routes and edge indices do not describe one port space")
+	}
+	for j, q := range g.route {
+		self := portAt(g.portOff, int32(j))
+		if q < 0 || q >= total || g.route[q] != int32(j) {
+			return fmt.Errorf("graph: involution violated at %v", self)
+		}
+		partner := portAt(g.portOff, q)
+		if idx := g.edgeOf[j]; idx < 0 || int(idx) >= len(g.edges) ||
+			g.edges[idx] != (Edge{A: self, B: partner}) && g.edges[idx] != (Edge{A: partner, B: self}) {
+			return fmt.Errorf("graph: edge index at %v does not name the edge joining it to %v", self, partner)
 		}
 	}
 	return nil
@@ -250,81 +267,17 @@ func (g *Graph) Validate() error {
 // Equal reports whether two graphs have identical node sets, degrees, and
 // involutions (hence identical port numberings).
 func (g *Graph) Equal(h *Graph) bool {
-	if g.N() != h.N() {
-		return false
-	}
-	for v := range g.conn {
-		if len(g.conn[v]) != len(h.conn[v]) {
-			return false
-		}
-		for i := range g.conn[v] {
-			if g.conn[v][i] != h.conn[v][i] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(g.portOff, h.portOff) && slices.Equal(g.route, h.route)
 }
 
 // String renders a compact description, mostly for test failure messages.
 func (g *Graph) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Graph(n=%d, m=%d)", g.N(), g.M())
-	return sb.String()
+	return fmt.Sprintf("Graph(n=%d, m=%d)", g.N(), g.M())
 }
 
-// buildEdges derives the canonical edge list from a validated connection
-// table. Each involution orbit of size two becomes one undirected edge;
-// each fixed point becomes one directed loop.
-func buildEdges(conn [][]Port) ([]Edge, [][]int) {
-	var edges []Edge
-	edgeAt := make([][]int, len(conn))
-	for v := range conn {
-		edgeAt[v] = make([]int, len(conn[v]))
-		for i := range edgeAt[v] {
-			edgeAt[v][i] = -1
-		}
-	}
-	for v := range conn {
-		for i1, q := range conn[v] {
-			if edgeAt[v][i1] >= 0 {
-				continue
-			}
-			self := Port{Node: v, Num: i1 + 1}
-			e := Edge{A: self, B: q}
-			if q.Less(self) {
-				e = Edge{A: q, B: self}
-			}
-			idx := len(edges)
-			edges = append(edges, e)
-			edgeAt[v][i1] = idx
-			if q != self {
-				edgeAt[q.Node][q.Num-1] = idx
-			}
-		}
-	}
-	// Canonicalise order: sort edges by the A port, remap indices.
-	perm := make([]int, len(edges))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		ea, eb := edges[perm[a]], edges[perm[b]]
-		if ea.A != eb.A {
-			return ea.A.Less(eb.A)
-		}
-		return ea.B.Less(eb.B)
-	})
-	inv := make([]int, len(edges))
-	sorted := make([]Edge, len(edges))
-	for newIdx, oldIdx := range perm {
-		sorted[newIdx] = edges[oldIdx]
-		inv[oldIdx] = newIdx
-	}
-	for v := range edgeAt {
-		for i := range edgeAt[v] {
-			edgeAt[v][i] = inv[edgeAt[v][i]]
-		}
-	}
-	return sorted, edgeAt
+// portAt converts a global port index back to its (node, number) pair by
+// binary search over the offsets.
+func portAt(off []int32, j int32) Port {
+	v := sort.Search(len(off)-1, func(v int) bool { return off[v+1] > j })
+	return Port{Node: v, Num: int(j-off[v]) + 1}
 }

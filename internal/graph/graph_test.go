@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -254,5 +255,18 @@ func TestGraphEqual(t *testing.T) {
 	b.MustConnect(2, 2, 3, 1)
 	if g.Equal(b.MustBuild()) {
 		t.Error("different wirings reported Equal")
+	}
+}
+
+// TestGraphHoldsOneTopology: a Graph is its flat CSR arrays and nothing
+// else — no per-node tables and no lazily built state (CONTRIBUTING,
+// invariant 7).
+func TestGraphHoldsOneTopology(t *testing.T) {
+	typ := reflect.TypeOf(Graph{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice || f.Type.Elem().Kind() == reflect.Slice {
+			t.Errorf("Graph.%s has type %s, want a flat slice", f.Name, f.Type)
+		}
 	}
 }

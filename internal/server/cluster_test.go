@@ -231,18 +231,39 @@ func TestClusterOwnerRouting(t *testing.T) {
 	}
 }
 
+// probeDone marks each /readyz probe done once its response has arrived,
+// which settles the probe's outcome.
+type probeDone struct{ wg *sync.WaitGroup }
+
+func (p probeDone) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if r.URL.Path == "/readyz" {
+		p.wg.Done()
+	}
+	return resp, err
+}
+
 // TestClusterOwnerDownFallback kills the owner and checks the passive
 // degradation path: fills fail, requests fall back to local compute,
 // and nothing surfaces to the client as an error.
 func TestClusterOwnerDownFallback(t *testing.T) {
+	// A health loop probes every peer once when it starts. Replicas 0
+	// and 1 must finish those probes while the owner is alive, or a
+	// probe, not a failed fill, marks the owner down.
+	var probed sync.WaitGroup
+	probed.Add(2 * 2)
 	f := startFleet(t, 3, func(i int, cfg *Config, ccfg *cluster.Config) {
-		// No active probes: this test exercises the passive mark-down on
-		// fill failure, not the health loop.
+		// No further active probes: this test exercises the passive
+		// mark-down on fill failure, not the health loop.
 		ccfg.HealthInterval = time.Hour
+		if i < 2 {
+			ccfg.Client = &http.Client{Transport: probeDone{&probed}}
+		}
 	})
 	g := f.graphOwnedBy(t, 2)
 	body := graphBytes(t, g)
 
+	probed.Wait()
 	f.ts[2].Close() // the owner dies
 
 	for i := 0; i < 2; i++ {

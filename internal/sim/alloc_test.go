@@ -100,6 +100,13 @@ func TestEngineRoundsAllocationFree(t *testing.T) {
 // after them must allocate exactly nothing.
 func TestMigratedAlgorithmsZeroAllocSteadyState(t *testing.T) {
 	disableGC(t)
+	// A goroutine blocking on a channel takes a runtime sudog from its
+	// P's cache and allocates one when that cache is empty. With several
+	// Ps, wake-ups can move the cached sudogs to one P while a round's
+	// goroutines run on another, and the round then allocates one per
+	// blocked goroutine. One P keeps the cache the warm-up run filled;
+	// testing.AllocsPerRun pins GOMAXPROCS to 1 for the same reason.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct {
 		name string

@@ -648,17 +648,20 @@ func collectOutputsRange(g *graph.Graph, a Algorithm, nodes []Node, lo, hi int, 
 // CheckConsistency verifies the paper's output well-formedness condition:
 // if i ∈ X(v) and p(v,i) = (u,j) then j ∈ X(u).
 func CheckConsistency(g *graph.Graph, outputs [][]int) error {
-	chosen := make([]map[int]bool, g.N())
+	off, route := g.PortOffsets(), g.RoutingTable()
+	chosen := make([]bool, len(route)) // by global port index
 	for v, out := range outputs {
-		chosen[v] = make(map[int]bool, len(out))
-		for _, p := range out {
-			chosen[v][p] = true
+		for _, i := range out {
+			if i < 1 || i > g.Deg(v) {
+				return fmt.Errorf("sim: output port %d of node %d out of range [1,%d]", i, v, g.Deg(v))
+			}
+			chosen[off[v]+int32(i-1)] = true
 		}
 	}
 	for v, out := range outputs {
 		for _, i := range out {
-			q := g.P(v, i)
-			if !chosen[q.Node][q.Num] {
+			if !chosen[route[off[v]+int32(i-1)]] {
+				q := g.P(v, i)
 				return fmt.Errorf("sim: inconsistent output: %d ∈ X(%d) but %d ∉ X(%d)", i, v, q.Num, q.Node)
 			}
 		}

@@ -303,6 +303,9 @@ func TestCheckConsistencyRejects(t *testing.T) {
 	if err := CheckConsistency(g, [][]int{{1}, {1}}); err != nil {
 		t.Errorf("consistent output rejected: %v", err)
 	}
+	if err := CheckConsistency(g, [][]int{{2}, {1}}); err == nil {
+		t.Error("output naming a port the node does not have accepted")
+	}
 }
 
 func TestRoundHookSeesMessages(t *testing.T) {
