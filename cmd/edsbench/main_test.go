@@ -71,12 +71,19 @@ BenchmarkSharded/Cycle/n=100k/sharded-8 5 42791983 ns/op 21800513 B/op 800005 al
 PASS
 ok	eds	1.234s
 `
-	got, cpu, err := parseOutput(strings.NewReader(input))
+	got, cpu, procs, err := parseOutput(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cpu != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
 		t.Errorf("cpu = %q", cpu)
+	}
+	if procs != 8 {
+		t.Errorf("procs = %d, want 8 from the -8 name suffix", procs)
+	}
+	// go test appends no suffix at GOMAXPROCS=1.
+	if _, _, procs, err := parseOutput(strings.NewReader("BenchmarkX 5 100 ns/op 1 allocs/op\n")); err != nil || procs != 1 {
+		t.Errorf("unsuffixed run: procs = %d, err = %v, want 1", procs, err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("parsed %d results, want 2: %v", len(got), got)
@@ -94,32 +101,33 @@ func TestDiff(t *testing.T) {
 	mk := func(a, b int64) map[string]Bench {
 		return map[string]Bench{"A": {Name: "A", AllocsPerOp: a}, "B": {Name: "B", AllocsPerOp: b}}
 	}
-	if p := diff(baseline, mk(1000, 1_000_000), 0.25, 10000); len(p) != 0 {
+	if p := diff(baseline, mk(1000, 1_000_000), 0.25); len(p) != 0 {
 		t.Errorf("exact match should pass, got %v", p)
 	}
-	// Within tolerance+slack: 1000 → 11250 = 1000*1.25 + 10000 exactly.
-	if p := diff(baseline, mk(11250, 1_000_000), 0.25, 10000); len(p) != 0 {
+	// Within tolerance+slack: the ceiling is 1000*1.25 + coldSlack.
+	atCeiling := int64(1250 + coldSlack)
+	if p := diff(baseline, mk(atCeiling, 1_000_000), 0.25); len(p) != 0 {
 		t.Errorf("at the ceiling should pass, got %v", p)
 	}
-	if p := diff(baseline, mk(11251, 1_000_000), 0.25, 10000); len(p) != 1 {
+	if p := diff(baseline, mk(atCeiling+1, 1_000_000), 0.25); len(p) != 1 {
 		t.Errorf("one over the ceiling should fail once, got %v", p)
 	}
-	// O(n) regression on the big benchmark is far past 25%+10000.
-	if p := diff(baseline, mk(1000, 2_000_000), 0.25, 10000); len(p) != 1 {
+	// O(n) regression on the big benchmark is far past 25%+coldSlack.
+	if p := diff(baseline, mk(1000, 2_000_000), 0.25); len(p) != 1 {
 		t.Errorf("2x allocation growth should fail, got %v", p)
 	}
 	// Improvements never fail.
-	if p := diff(baseline, mk(10, 36), 0.25, 10000); len(p) != 0 {
+	if p := diff(baseline, mk(10, 36), 0.25); len(p) != 0 {
 		t.Errorf("improvement should pass, got %v", p)
 	}
 	// A baseline entry missing from the run fails the gate.
-	if p := diff(baseline, map[string]Bench{"A": {Name: "A", AllocsPerOp: 1000}}, 0.25, 10000); len(p) != 1 {
+	if p := diff(baseline, map[string]Bench{"A": {Name: "A", AllocsPerOp: 1000}}, 0.25); len(p) != 1 {
 		t.Errorf("missing benchmark should fail once, got %v", p)
 	}
 	// Extra benchmarks in the run are not gated.
 	got := mk(1000, 1_000_000)
 	got["C"] = Bench{Name: "C", AllocsPerOp: 999_999_999}
-	if p := diff(baseline, got, 0.25, 10000); len(p) != 0 {
+	if p := diff(baseline, got, 0.25); len(p) != 0 {
 		t.Errorf("ungated extra benchmark should pass, got %v", p)
 	}
 }
@@ -178,6 +186,9 @@ func TestRunGateAndUpdate(t *testing.T) {
 	}
 	if fresh.CPU != "Test CPU" {
 		t.Errorf("cpu not taken from the run header: %q", fresh.CPU)
+	}
+	if fresh.Gomaxprocs != 8 {
+		t.Errorf("gomaxprocs = %d, want 8 from the run's name suffixes", fresh.Gomaxprocs)
 	}
 	if fresh.Comment == "" || fresh.Generated == "" || fresh.Go == "" {
 		t.Errorf("metadata missing from regenerated baseline: %+v", fresh)

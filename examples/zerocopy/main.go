@@ -1,14 +1,13 @@
-// Zerocopy: writing a custom algorithm on the BufferedNode fast path.
+// Zerocopy: writing a custom algorithm against the node contract.
 //
-// The paper's algorithms ship pre-migrated, but the zero-allocation
-// machinery is open to user algorithms too: implement the optional
-// eds.BufferedNode interface and the engines write your messages
-// straight into their pooled flat outbox — no per-round []Message, no
-// boxing copies, nothing for the garbage collector to chase while the
-// rounds run. This example defines a toy multi-round protocol both
-// ways and measures the difference with testing.AllocsPerRun: the
-// buffered variant's allocation count is independent of the round
-// count.
+// An eds.Algorithm builds whole node ranges at once (BuildNodes), carving
+// per-node state from an engine-owned eds.StateArena, and every eds.Node
+// writes its messages straight into the engine's pooled flat outbox
+// (SendInto) and its chosen ports straight onto the engine's flat output
+// buffer (AppendOutput). Nothing in that contract allocates per round.
+// This example defines a toy multi-round protocol and measures it with
+// testing.AllocsPerRun: the allocation count is per-run construction
+// only, the same at 4 rounds as at 64.
 package main
 
 import (
@@ -24,35 +23,40 @@ import (
 // it allocates nothing.
 type beat struct{}
 
-// pulse is a deliberately minimal custom algorithm — every node
-// broadcasts a heartbeat on all ports for a fixed number of rounds,
-// counts what it hears, and selects no edges. Its only purpose is to
-// show the two-method upgrade from Node to BufferedNode.
-type pulse struct {
-	rounds   int
-	buffered bool
-}
+// pulse is a deliberately minimal custom algorithm: every node
+// broadcasts a heartbeat on all ports for a fixed number of rounds and
+// counts, per port, what it hears. It selects the ports that carried a
+// heartbeat every round — on any graph, every edge, since both ends beat
+// in lockstep — which makes the output consistent by construction.
+type pulse struct{ rounds int }
+
+var _ eds.Algorithm = pulse{}
 
 func (p pulse) Name() string { return fmt.Sprintf("pulse(%d)", p.rounds) }
 
-func (p pulse) NewNode(degree int) eds.Node {
-	n := &pulseNode{deg: degree, left: p.rounds}
-	if p.buffered {
-		return n // *pulseNode: has SendInto, engines take the fast path
+// BuildNodes fills nodes[i] with node lo+i. The nodes share one value
+// slab per call and their per-port counters are carved from the arena,
+// so a run costs O(1) allocations per shard, not one per node. The
+// engine calls BuildNodes on disjoint ranges in parallel, so it keeps
+// no state on p; the arenaalias analyzer reports any carve that would
+// outlive the run.
+func (p pulse) BuildNodes(g *eds.Graph, lo, hi int, arena *eds.StateArena, nodes []eds.Node) {
+	slab := make([]pulseNode, hi-lo)
+	for i := range slab {
+		slab[i] = pulseNode{left: p.rounds, rounds: p.rounds, heard: arena.Ints(g.Deg(lo + i))}
+		nodes[i] = &slab[i]
 	}
-	return legacyOnly{n} // wrapper hides SendInto: engines fall back to Send
 }
 
 type pulseNode struct {
-	deg   int
-	left  int
-	heard int
+	left, rounds int
+	heard        []int // heartbeats received per port
 }
 
-// SendInto is the fast path: write into the engine-owned buffer and
-// keep nothing. buf arrives all-nil with exactly deg slots; slots left
-// nil mean "no message on that port". Retaining buf is a bug — the
-// engine rewrites it every round and pools it across runs — and the
+// SendInto writes into the engine-owned buffer and keeps nothing. buf
+// arrives all-nil with exactly one slot per port; slots left nil mean
+// "no message on that port". Retaining buf is a bug — the engine
+// rewrites it every round and pools it across runs — and the
 // outboxalias analyzer reports any attempt.
 func (n *pulseNode) SendInto(round int, buf []eds.Message) {
 	for i := range buf {
@@ -60,63 +64,50 @@ func (n *pulseNode) SendInto(round int, buf []eds.Message) {
 	}
 }
 
-// Send is the classic contract: allocate and return a fresh slice.
-// Engines never call it on a node that implements SendInto, but
-// keeping it makes the node usable wherever a plain Node is expected.
-func (n *pulseNode) Send(round int) []eds.Message {
-	msgs := make([]eds.Message, n.deg)
-	n.SendInto(round, msgs)
-	return msgs
-}
-
 func (n *pulseNode) Receive(round int, inbox []eds.Message) {
-	for _, m := range inbox {
+	for i, m := range inbox {
 		if _, ok := m.(beat); ok {
-			n.heard++
+			n.heard[i]++
 		}
 	}
 	n.left--
 }
 
-func (n *pulseNode) Done() bool    { return n.left <= 0 }
-func (n *pulseNode) Output() []int { return nil }
+func (n *pulseNode) Done() bool { return n.left <= 0 }
 
-// legacyOnly forwards the four Node methods and nothing else (an
-// embedded field would promote SendInto too), so the engines' one-time
-// type assertion fails and every round goes through allocating Send.
-type legacyOnly struct{ n *pulseNode }
-
-func (w legacyOnly) Send(round int) []eds.Message           { return w.n.Send(round) }
-func (w legacyOnly) Receive(round int, inbox []eds.Message) { w.n.Receive(round, inbox) }
-func (w legacyOnly) Done() bool                             { return w.n.Done() }
-func (w legacyOnly) Output() []int                          { return w.n.Output() }
-
-var (
-	_ eds.BufferedNode = (*pulseNode)(nil)
-	_ eds.Node         = legacyOnly{}
-)
+// AppendOutput appends the chosen 1-based ports onto the engine's flat
+// output buffer; the engine sorts and validates them.
+func (n *pulseNode) AppendOutput(dst []int) []int {
+	for i, h := range n.heard {
+		if h == n.rounds {
+			dst = append(dst, i+1)
+		}
+	}
+	return dst
+}
 
 func main() {
 	log.SetFlags(0)
 	g := eds.Torus(32, 32) // 1024 nodes, 4-regular
 
-	measure := func(buffered bool, rounds int) float64 {
+	d, res, err := eds.RunSharded(g, pulse{rounds: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("pulse(4): %d rounds, %d messages, %d of %d edges selected\n",
+		res.Rounds, res.Messages, d.Count(), g.M())
+
+	measure := func(rounds int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, _, err := eds.RunSharded(g, pulse{rounds: rounds, buffered: buffered}); err != nil {
+			if _, _, err := eds.RunSharded(g, pulse{rounds: rounds}); err != nil {
 				log.Fatal(err)
 			}
 		})
 	}
-
-	for _, mode := range []struct {
-		name     string
-		buffered bool
-	}{{"legacy Send", false}, {"BufferedNode", true}} {
-		short, long := measure(mode.buffered, 4), measure(mode.buffered, 64)
-		fmt.Printf("%-12s  4 rounds: %6.0f allocs   64 rounds: %6.0f allocs   per extra round: %.2f\n",
-			mode.name, short, long, (long-short)/60)
-	}
-	fmt.Println("\nThe buffered variant's allocations are per-run construction only:")
-	fmt.Println("60 extra rounds cost 0 extra objects. That is the fast path the")
-	fmt.Println("paper algorithms in internal/core run on.")
+	short, long := measure(4), measure(64)
+	fmt.Printf("4 rounds: %.0f allocs   64 rounds: %.0f allocs   per extra round: %.2f\n",
+		short, long, (long-short)/60)
+	fmt.Println("\nThe allocations are per-run construction only: 60 extra rounds")
+	fmt.Println("cost 0 extra objects. The paper's algorithms in internal/core run")
+	fmt.Println("on the same contract.")
 }

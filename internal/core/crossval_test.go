@@ -142,11 +142,12 @@ func TestEnginesAgreeOnRealAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s sequential: %v", a.Name(), err)
 			}
-			con, err := sim.RunConcurrent(g, a)
+			// One shard per node: the most interleaved schedule there is.
+			sh, err := sim.RunSharded(g, a, sim.WithShards(g.N()))
 			if err != nil {
-				t.Fatalf("%s concurrent: %v", a.Name(), err)
+				t.Fatalf("%s sharded: %v", a.Name(), err)
 			}
-			if !reflect.DeepEqual(seq.Outputs, con.Outputs) {
+			if !reflect.DeepEqual(seq.Outputs, sh.Outputs) {
 				t.Errorf("%s: engines disagree", a.Name())
 			}
 		}

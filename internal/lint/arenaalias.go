@@ -10,12 +10,12 @@ import (
 
 // ArenaAlias enforces the lifetime contract of sim.StateArena: slices
 // carved with Ints/Bools (and the arena itself) live exactly as long as
-// one run. The engines rewind the arenas when the run's state returns
+// one run. The engine rewinds the arenas when the run's state returns
 // to the pool, so a carve retained beyond the run aliases memory that a
-// later, unrelated run will zero and hand out again. Like the outbox
-// buffers, the corruption is engine-dependent — the legacy NewNode path
-// heap-allocates and never recycles — which is precisely the class of
-// divergence the equivalence suite cannot see.
+// later, unrelated run will zero and hand out again. The corruption
+// shows only when a later run reuses the same pooled state — a single
+// run, and so the equivalence suite, looks correct — which is precisely
+// the class of divergence the tests cannot see.
 //
 // Within any function or closure that receives a *sim.StateArena
 // parameter (BuildNodes implementations, program init hooks, carve
@@ -35,8 +35,8 @@ import (
 //     disjoint shard ranges, and an escaping goroutine outlives them
 //     all.
 //
-// Free functions may return carves (arenaInts-style helpers are the
-// sanctioned pattern); the analysis is intraprocedural, so only direct
+// Free functions may return carves (carve helpers are the sanctioned
+// pattern); the analysis is intraprocedural, so only direct
 // arena.Ints/arena.Bools results are tracked through such helpers'
 // bodies, not their call sites.
 var ArenaAlias = &analysis.Analyzer{
@@ -186,7 +186,7 @@ func checkArenaRetention(pass *analysis.Pass, fn ast.Node, body *ast.BlockStmt, 
 
 	// methodOnAlgorithm: does fn's receiver implement sim.Algorithm?
 	// Only such methods are checked for carve returns — free carve
-	// helpers (arenaInts and friends) legitimately return arena slices.
+	// helpers legitimately return arena slices.
 	methodOnAlgorithm := false
 	if recv != nil && len(recv.List) > 0 {
 		if t := pass.TypeOf(recv.List[0].Type); t != nil {

@@ -1,10 +1,10 @@
 // Package outboxalias is the outboxalias fixture: round-hook callbacks
 // and Receive-style functions that retain engine-owned buffer views in
-// every way the analyzer recognises, next to lawful copying code. On
-// the sequential engine these bugs are invisible (its matrix rows are
-// stable for a whole run); the sharded engine recycles the flat outbox
-// every round, so retention corrupts whatever inspects the data later —
-// after the equivalence comparison has already passed.
+// every way the analyzer recognises, next to lawful copying code. In a
+// one-round run these bugs are invisible; the engine recycles the flat
+// outbox every round and pools it across runs, so retention corrupts
+// whatever inspects the data later — after the equivalence comparison
+// has already passed.
 package outboxalias
 
 import "eds/internal/sim"
@@ -44,33 +44,32 @@ func leakyContainer(table map[int][]sim.Message, round int, sent [][]sim.Message
 	table[round] = sent[0] // want `stored in a container element`
 }
 
-// leakyBufferedNode plants the SendInto half of the invariant: the buf
-// handed to a BufferedNode is a window into the engine's pooled flat
-// outbox, rewritten every round and returned to a sync.Pool when the
-// run ends. Stashing it gives the node a view of whatever the *next*
-// run writes there.
-type leakyBufferedNode struct {
+// leakyNode plants the SendInto half of the invariant: the buf handed
+// to a node is a window into the engine's pooled flat outbox, rewritten
+// every round and returned to a sync.Pool when the run ends. Stashing
+// it gives the node a view of whatever the *next* run writes there.
+type leakyNode struct {
 	stash []sim.Message
 	deg   int
 }
 
-func (n *leakyBufferedNode) SendInto(round int, buf []sim.Message) {
+func (n *leakyNode) SendInto(round int, buf []sim.Message) {
 	n.stash = buf // want `stored in a field`
 }
 
-func leakyBufferedClosure(out chan<- []sim.Message) func(round int, buf []sim.Message) {
+func leakySendIntoClosure(out chan<- []sim.Message) func(round int, buf []sim.Message) {
 	return func(round int, buf []sim.Message) {
 		out <- buf // want `sent on a channel`
 	}
 }
 
-// goodBufferedNode writes into the buffer and keeps nothing: the whole
-// point of the SendInto contract.
-type goodBufferedNode struct {
+// goodNode writes into the buffer and keeps nothing: the whole point of
+// the SendInto contract.
+type goodNode struct {
 	deg int
 }
 
-func (n *goodBufferedNode) SendInto(round int, buf []sim.Message) {
+func (n *goodNode) SendInto(round int, buf []sim.Message) {
 	for i := 0; i < n.deg; i++ {
 		buf[i] = nil
 	}

@@ -15,7 +15,7 @@ import (
 //
 // Outcomes come in two classes. Deterministic outcomes — a successful
 // response body or a run failure that is a function of the graph and
-// algorithm alone (round limit, malformed send) — are shared with every
+// algorithm alone (round limit, invalid output) — are shared with every
 // follower verbatim. Private outcomes — the leader's deadline expired,
 // its client went away, or its admission budget ran out — say nothing
 // about what any other request would see, so followers are not poisoned

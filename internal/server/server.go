@@ -607,7 +607,7 @@ func (s *Server) serveLocal(ctx context.Context, w http.ResponseWriter, req runR
 
 // leadRun executes a run as the flight leader: it owes the flight
 // exactly one finish on every exit path. Outcomes that depend only on
-// the graph and algorithm (success, round limit, malformed send) are
+// the graph and algorithm (success, round limit, invalid output) are
 // published for the followers; outcomes private to this request's
 // budget (deadline, client gone, admission failure) publish a retry
 // marker instead.

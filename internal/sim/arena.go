@@ -1,9 +1,9 @@
 package sim
 
-// StateArena is a bump allocator for per-node algorithm state. A
-// BulkAlgorithm carves its nodes' int and bool slices out of a small
-// number of large chunks instead of allocating one heap object per
-// node, so constructing a 100k-node run costs O(1) allocations, not
+// StateArena is a bump allocator for per-node algorithm state.
+// Algorithm.BuildNodes carves its nodes' int and bool slices out of a
+// small number of large chunks instead of allocating one heap object
+// per node, so constructing a 100k-node run costs O(1) allocations, not
 // O(n) — and because the arenas live inside the pooled runState, a
 // steady-state workload of one recurring graph shape reaches zero
 // construction allocations after its first run: the chunks are
@@ -18,8 +18,8 @@ package sim
 // Algorithm value itself, a package-level variable, a channel, or a
 // goroutine that outlives the run.
 //
-// Carve is NOT safe for concurrent use; the sharded engine gives every
-// worker its own arena, so per-shard construction needs no locks.
+// Carve is NOT safe for concurrent use; the engine gives every shard its
+// own arena, so per-shard construction needs no locks.
 type StateArena struct {
 	ints  arenaSlab[int]
 	bools arenaSlab[bool]

@@ -66,11 +66,11 @@ func TestEngineChoiceNamesAreEngines(t *testing.T) {
 func TestRunAutoMatchesEngineChoice(t *testing.T) {
 	for _, n := range []int{64, AutoShardedPorts} { // cycle: 2n ports
 		g := gen.Cycle(n)
-		ref, err := RunSequential(g, sumAlg{rounds: 2})
+		ref, err := RunSequential(g, sumAlg(2))
 		if err != nil {
 			t.Fatalf("sequential n=%d: %v", n, err)
 		}
-		res, err := RunAuto(g, sumAlg{rounds: 2})
+		res, err := RunAuto(g, sumAlg(2))
 		if err != nil {
 			t.Fatalf("auto n=%d: %v", n, err)
 		}

@@ -1,9 +1,9 @@
 // Cross-engine equivalence suite: the paper's algorithms executed on a
 // corpus of port-numbered graph families must produce identical Results
-// from every engine — the sequential reference, the goroutine-per-node
-// channel engine, and the sharded flat-buffer engine — including error
-// cases. This is the contract that lets the fast engine stand in for the
-// reference on large graphs.
+// from both entry points of the round loop — the one-shard sequential
+// reference and the sharded engine at every shard count — including
+// error cases. This is the contract that lets the fast engine stand in
+// for the reference on large graphs.
 //
 // The file lives in package sim_test because it drives the real
 // algorithms from internal/core, which itself imports sim.
@@ -32,7 +32,6 @@ type engine struct {
 func engines() []engine {
 	return []engine{
 		{"sequential", sim.RunSequential},
-		{"concurrent", sim.RunConcurrent},
 		{"sharded", sim.RunSharded},
 	}
 }
@@ -93,7 +92,7 @@ func algorithmsFor(g *graph.Graph) []sim.Algorithm {
 }
 
 // TestCrossEngineEquivalence runs every algorithm on every corpus graph
-// with all three engines and demands identical Outputs, Rounds, Messages
+// with both engines and demands identical Outputs, Rounds, Messages
 // — or identical errors.
 func TestCrossEngineEquivalence(t *testing.T) {
 	for _, ng := range equivalenceCorpus(t) {
@@ -206,32 +205,27 @@ func TestAutoHonoursHookAboveThreshold(t *testing.T) {
 }
 
 // cancelSendAlg never terminates on its own but cancels the attached
-// context from Send at a fixed round — a deterministic mid-run
+// context from SendInto at a fixed round — a deterministic mid-run
 // cancellation point that exists identically in every engine.
-type cancelSendAlg struct {
+func cancelSendAlg(cancel context.CancelFunc, atRound int) sim.Algorithm {
+	return sim.PerNode{Label: "cancel-send", New: func(int) sim.Node {
+		return cancelSendNode{cancel: cancel, atRound: atRound}
+	}}
+}
+
+type cancelSendNode struct {
 	cancel  context.CancelFunc
 	atRound int
 }
 
-func (a cancelSendAlg) Name() string { return "cancel-send" }
-func (a cancelSendAlg) NewNode(degree int) sim.Node {
-	return &cancelSendNode{deg: degree, alg: a}
-}
-
-type cancelSendNode struct {
-	deg int
-	alg cancelSendAlg
-}
-
-func (n *cancelSendNode) Send(round int) []sim.Message {
-	if round >= n.alg.atRound {
-		n.alg.cancel()
+func (n cancelSendNode) SendInto(round int, buf []sim.Message) {
+	if round >= n.atRound {
+		n.cancel()
 	}
-	return make([]sim.Message, n.deg)
 }
-func (n *cancelSendNode) Receive(round int, inbox []sim.Message) {}
-func (n *cancelSendNode) Done() bool                             { return false }
-func (n *cancelSendNode) Output() []int                          { return nil }
+func (n cancelSendNode) Receive(round int, inbox []sim.Message) {}
+func (n cancelSendNode) Done() bool                             { return false }
+func (n cancelSendNode) AppendOutput(dst []int) []int           { return dst }
 
 // awaitBaselineGoroutines waits for the goroutine count to return to the
 // pre-run baseline, failing the test if it does not: a canceled engine
@@ -251,7 +245,7 @@ func awaitBaselineGoroutines(t *testing.T, label string, base int) {
 	}
 }
 
-// TestCancellationParity checks the WithContext contract on all three
+// TestCancellationParity checks the WithContext contract on both
 // engines: cancel-before-start, cancel-mid-run, and deadline-exceeded
 // must surface the identical error (wrapping ErrCanceled plus the
 // context cause) from every engine, return no Result, and leak no
@@ -269,7 +263,7 @@ func TestCancellationParity(t *testing.T) {
 		for _, e := range engines() {
 			ctx := mkCtx()
 			cancel := func() {}
-			var alg sim.Algorithm = stuckAlg{}
+			var alg sim.Algorithm = stuckAlg
 			if mkAlg != nil {
 				var ccancel context.CancelFunc
 				ctx, ccancel = context.WithCancel(ctx)
@@ -314,7 +308,7 @@ func TestCancellationParity(t *testing.T) {
 	t.Run("CancelMidRun", func(t *testing.T) {
 		check(t, context.Background,
 			func(cancel context.CancelFunc) sim.Algorithm {
-				return cancelSendAlg{cancel: cancel, atRound: 3}
+				return cancelSendAlg(cancel, 3)
 			}, context.Canceled)
 	})
 	t.Run("DeadlineMidRun", func(t *testing.T) {
@@ -325,7 +319,7 @@ func TestCancellationParity(t *testing.T) {
 		for _, e := range engines() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 			start := time.Now()
-			_, err := e.run(g, stuckAlg{}, sim.WithContext(ctx), sim.WithMaxRounds(1<<30))
+			_, err := e.run(g, stuckAlg, sim.WithContext(ctx), sim.WithMaxRounds(1<<30))
 			elapsed := time.Since(start)
 			cancel()
 			if !errors.Is(err, sim.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
@@ -340,67 +334,37 @@ func TestCancellationParity(t *testing.T) {
 }
 
 // stuckAlg never terminates; every engine must surface ErrRoundLimit.
-type stuckAlg struct{}
+var stuckAlg = sim.PerNode{Label: "stuck", New: func(int) sim.Node { return stuckNode{} }}
 
-func (stuckAlg) Name() string                { return "stuck" }
-func (stuckAlg) NewNode(degree int) sim.Node { return &stuckNode{deg: degree} }
+type stuckNode struct{}
 
-type stuckNode struct{ deg int }
+func (stuckNode) SendInto(round int, buf []sim.Message)  {}
+func (stuckNode) Receive(round int, inbox []sim.Message) {}
+func (stuckNode) Done() bool                             { return false }
+func (stuckNode) AppendOutput(dst []int) []int           { return dst }
 
-func (n *stuckNode) Send(round int) []sim.Message           { return make([]sim.Message, n.deg) }
-func (n *stuckNode) Receive(round int, inbox []sim.Message) {}
-func (n *stuckNode) Done() bool                             { return false }
-func (n *stuckNode) Output() []int                          { return nil }
+// nilNodeAlg leaves node 2 unbuilt: every engine and shard count must
+// report the same construction error, naming that node.
+type nilNodeAlg struct{}
 
-// badSendAlg returns a wrong-length slice from every node of degree 2.
-// On Path(3) exactly one node (the middle, index 1) has degree 2, so the
-// engines must all report the same node in the same error string. The
-// other nodes panic if Receive ever runs in the poisoned round: every
-// engine must abort after the send barrier, before any node can observe
-// the substitute messages.
-type badSendAlg struct{}
-
-func (badSendAlg) Name() string { return "bad-send" }
-func (badSendAlg) NewNode(degree int) sim.Node {
-	return &badSendNode{deg: degree}
-}
-
-type badSendNode struct {
-	deg  int
-	done bool
-}
-
-func (n *badSendNode) Send(round int) []sim.Message {
-	if n.deg == 2 {
-		return make([]sim.Message, n.deg+3)
-	}
-	msgs := make([]sim.Message, n.deg)
-	for i := range msgs {
-		msgs[i] = "well-formed"
-	}
-	return msgs
-}
-
-func (n *badSendNode) Receive(round int, inbox []sim.Message) {
-	for _, m := range inbox {
-		if m == nil {
-			panic("sim_test: Receive observed a substitute message from a poisoned round")
+func (nilNodeAlg) Name() string { return "nil-node" }
+func (nilNodeAlg) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
+	for v := lo; v < hi; v++ {
+		if v != 2 {
+			nodes[v-lo] = stuckNode{}
 		}
 	}
-	n.done = true
 }
-func (n *badSendNode) Done() bool    { return n.done }
-func (n *badSendNode) Output() []int { return nil }
 
 // TestEngineErrorParity checks that the failure modes surface identically
-// from every engine: the round budget as ErrRoundLimit, and a malformed
-// Send as an error naming the offending node — never a panic.
+// from every engine: the round budget as ErrRoundLimit, and a node that
+// BuildNodes left unset as an error naming it — never a panic.
 func TestEngineErrorParity(t *testing.T) {
 	t.Run("RoundLimit", func(t *testing.T) {
 		g := gen.Cycle(6)
 		var msgs []string
 		for _, e := range engines() {
-			_, err := e.run(g, stuckAlg{}, sim.WithMaxRounds(10))
+			_, err := e.run(g, stuckAlg, sim.WithMaxRounds(10))
 			if !errors.Is(err, sim.ErrRoundLimit) {
 				t.Fatalf("%s: err = %v, want ErrRoundLimit", e.name, err)
 			}
@@ -412,19 +376,15 @@ func TestEngineErrorParity(t *testing.T) {
 			}
 		}
 	})
-	t.Run("MalformedSend", func(t *testing.T) {
-		g := gen.Path(3)
-		var msgs []string
+	t.Run("NilNode", func(t *testing.T) {
+		g := gen.Cycle(6)
+		const want = `sim: algorithm "nil-node": BuildNodes left node 2 nil`
 		for _, e := range engines() {
-			_, err := e.run(g, badSendAlg{})
-			if err == nil {
-				t.Fatalf("%s: malformed Send accepted", e.name)
-			}
-			msgs = append(msgs, err.Error())
-		}
-		for _, m := range msgs[1:] {
-			if m != msgs[0] {
-				t.Errorf("malformed-send errors differ: %q vs %q", msgs[0], m)
+			for _, p := range []int{1, 2, g.N()} {
+				_, err := e.run(g, nilNodeAlg{}, sim.WithShards(p))
+				if err == nil || err.Error() != want {
+					t.Errorf("%s shards=%d: err = %v, want %q", e.name, p, err, want)
+				}
 			}
 		}
 	})

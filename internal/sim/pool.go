@@ -8,27 +8,25 @@ import (
 )
 
 // runState is the engine-owned per-execution state: the node slice, the
-// per-node retirement flags, the flat double-buffered message arrays of
-// the routing-table engines, and the per-shard coordination state of the
-// sharded engine. It is recycled through a sync.Pool so that repeated
-// runs — the edsd serving pattern of many requests over same-shape
-// graphs — allocate nothing beyond the algorithm's own node state: an
-// acquired state whose slices already have the required capacity is
-// reused as-is, and a smaller one grows with power-of-two rounding so a
-// workload of one recurring shape reaches a steady state after its
-// first run.
+// per-node retirement flags, the flat double-buffered message arrays, and
+// the per-shard coordination state. It is recycled through a sync.Pool
+// so that repeated runs — the edsd serving pattern of many requests over
+// same-shape graphs — allocate nothing beyond the algorithm's own node
+// state: an acquired state whose slices already have the required
+// capacity is reused as-is, and a smaller one grows with power-of-two
+// rounding so a workload of one recurring shape reaches a steady state
+// after its first run.
 //
-// Lifetime discipline (enforced by the engines, mechanically leaned on
+// Lifetime discipline (enforced by the engine, mechanically leaned on
 // by the outboxalias analyzer): a state is acquired at run entry and
 // released exactly once on every exit path, after all worker goroutines
 // have stopped — the release is deferred before the workers start, so
-// on cancellation, round-limit, or malformed-send exits the deferred
+// on cancellation, round-limit, or construction-error exits the deferred
 // worker shutdown runs first and no goroutine can touch a recycled
 // buffer. release clears every pointer-carrying slot (nodes, messages)
 // so the pool never pins node state or message payloads across runs.
 type runState struct {
 	nodes    []Node
-	buffered []BufferedNode // buffered[v] != nil iff nodes[v] has the SendInto fast path
 	done     []bool
 	outbox   []Message // flat send buffer, indexed by global port
 	inbox    []Message // flat receive buffer, gathered through the routing table
@@ -36,19 +34,19 @@ type runState struct {
 	bounds   []int
 	hookView [][]Message // per-node outbox windows, built only for hooked runs
 
-	// arenas[s] is shard s's StateArena (index 0 for the unsharded
-	// engines). The chunks persist across pooled runs — acquireState only
-	// rewinds the cursors — so bulk-built node state stops allocating
-	// once a workload's shape has been seen. Held as a slice of values,
-	// one per worker, so parallel construction needs no locks.
+	// arenas[s] is shard s's StateArena. The chunks persist across
+	// pooled runs — acquireState only rewinds the cursors — so node state
+	// stops allocating once a workload's shape has been seen. Held as a
+	// slice of values, one per shard, so parallel construction needs no
+	// locks.
 	arenas []StateArena
 
-	// Sharded-engine phase coordination, reused across runs because a
-	// channel cannot be closed and recycled: stop tokens, not close,
-	// end a worker pool. Each worker owns one token channel — a shared
-	// channel would let a fast worker steal a slow one's phase token and
-	// run its shard twice while the other shard never runs. Capacities
-	// are grown like the slices.
+	// Worker phase coordination (multi-shard runs only), reused across
+	// runs because a channel cannot be closed and recycled: stop tokens,
+	// not close, end a worker pool. Each worker owns one token channel —
+	// a shared channel would let a fast worker steal a slow one's phase
+	// token and run its shard twice while the other shard never runs.
+	// Capacities are grown like the slices.
 	work []chan int
 	idle chan struct{}
 }
@@ -58,7 +56,7 @@ type runState struct {
 type shardStat struct {
 	sent    int   // non-nil messages this round
 	pending int   // nodes not yet retired
-	err     error // first malformed Send (lowest node in shard)
+	err     error // first construction or output error (lowest node in shard)
 }
 
 var statePool = sync.Pool{New: func() any { return new(runState) }}
@@ -86,38 +84,32 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // acquireState returns a runState ready for a run over n nodes and
-// ports global ports, with room for p shards (pass p = 0 for the
-// engines that do not shard). done and stats come back zeroed; the
-// message buffers are all-nil because release cleared them.
+// ports global ports with p >= 1 shards. done and stats come back
+// zeroed; the message buffers are all-nil because release cleared them.
 func acquireState(n, ports, p int) *runState {
 	s := statePool.Get().(*runState)
 	s.nodes = grow(s.nodes, n)
-	s.buffered = grow(s.buffered, n)
 	s.done = grow(s.done, n)
 	clear(s.done)
 	s.outbox = grow(s.outbox, ports)
 	s.inbox = grow(s.inbox, ports)
-	// One arena per worker (at least one). Unlike grow, the resize must
-	// preserve the surviving elements: each arena carries chunks whose
-	// whole point is reuse across runs.
-	na := p
-	if na < 1 {
-		na = 1
-	}
-	if cap(s.arenas) >= na {
-		s.arenas = s.arenas[:na]
+	// One arena per shard. Unlike grow, the resize must preserve the
+	// surviving elements: each arena carries chunks whose whole point is
+	// reuse across runs.
+	if cap(s.arenas) >= p {
+		s.arenas = s.arenas[:p]
 	} else {
 		old := s.arenas
-		s.arenas = make([]StateArena, na, roundCap(na))
+		s.arenas = make([]StateArena, p, roundCap(p))
 		copy(s.arenas, old)
 	}
 	for i := range s.arenas {
 		s.arenas[i].reset()
 	}
-	if p > 0 {
-		s.stats = grow(s.stats, p)
-		clear(s.stats)
-		s.bounds = grow(s.bounds, p+1)
+	s.stats = grow(s.stats, p)
+	clear(s.stats)
+	s.bounds = grow(s.bounds, p+1)
+	if p > 1 {
 		s.work = grow(s.work, p)
 		for i := range s.work {
 			if s.work[i] == nil {
@@ -131,40 +123,28 @@ func acquireState(n, ports, p int) *runState {
 	return s
 }
 
-// buildNodes constructs the nodes of the half-open range [lo, hi),
-// filling s.nodes and the s.buffered fast-path cache. Bulk-capable
-// algorithms build the whole range at once from the given arena; legacy
-// algorithms go through NewNode one node at a time. Safe for concurrent
-// calls on disjoint ranges with distinct arenas — that is exactly how
-// the sharded engine parallelizes its prologue.
-func (s *runState) buildNodes(g *graph.Graph, a Algorithm, bulk BulkAlgorithm, lo, hi int, arena *StateArena) error {
-	if bulk != nil {
-		nodes := s.nodes[lo:hi:hi]
-		bulk.BuildNodes(g, lo, hi, arena, nodes)
-		for v := lo; v < hi; v++ {
-			if s.nodes[v] == nil {
-				return fmt.Errorf("sim: algorithm %q: BuildNodes left node %d nil", a.Name(), v)
-			}
-			s.buffered[v], _ = s.nodes[v].(BufferedNode)
-		}
-		return nil
-	}
+// buildNodes constructs the nodes of the half-open range [lo, hi) from
+// the given arena and checks that BuildNodes set every one. Safe for
+// concurrent calls on disjoint ranges with distinct arenas — that is
+// exactly how the engine parallelizes its prologue.
+func (s *runState) buildNodes(g *graph.Graph, a Algorithm, lo, hi int, arena *StateArena) error {
+	a.BuildNodes(g, lo, hi, arena, s.nodes[lo:hi:hi])
 	for v := lo; v < hi; v++ {
-		s.nodes[v] = a.NewNode(g.Deg(v))
-		s.buffered[v], _ = s.nodes[v].(BufferedNode)
+		if s.nodes[v] == nil {
+			return fmt.Errorf("sim: algorithm %q: BuildNodes left node %d nil", a.Name(), v)
+		}
 	}
 	return nil
 }
 
 // release clears every reference the state holds — node pointers and
-// boxed messages — and returns it to the pool. The engines call it via
+// boxed messages — and returns it to the pool. The engine calls it via
 // defer after all workers have stopped; a released state must never be
 // touched again by the run that held it. The arenas stay as they are:
 // their chunks hold only ints and bools, so they pin nothing, and
 // keeping them warm is what makes repeat construction allocation-free.
 func (s *runState) release() {
 	clear(s.nodes)
-	clear(s.buffered)
 	clear(s.outbox)
 	clear(s.inbox)
 	clear(s.stats)
@@ -174,8 +154,8 @@ func (s *runState) release() {
 }
 
 // hookRows builds the hook's per-node view of the flat outbox: one
-// capped subslice per node, so a round hook observes exactly the matrix
-// the per-node engines would show. Only hooked runs pay this (one slice
+// capped subslice per node, so a round hook observes the matrix
+// sent[v][i-1] at every shard count. Only hooked runs pay this (one slice
 // of n headers per run); hooks exist for traces and figures, not for
 // the steady-state serving path.
 func (s *runState) hookRows(off []int32, n int) [][]Message {
@@ -185,30 +165,4 @@ func (s *runState) hookRows(off []int32, n int) [][]Message {
 	}
 	s.hookView = rows
 	return rows
-}
-
-// fillSlot produces node v's outgoing messages for this round directly
-// in its outbox window and returns the non-nil message count. Nodes
-// implementing BufferedNode write into the engine-owned slot with no
-// allocation and no copy; legacy nodes go through Send and are length-
-// checked, so the malformed-send error stays byte-identical across
-// engines and both node flavours.
-func (s *runState) fillSlot(a Algorithm, v, round int, slot []Message) (int, error) {
-	if b := s.buffered[v]; b != nil {
-		clear(slot)
-		b.SendInto(round, slot)
-	} else {
-		out := s.nodes[v].Send(round)
-		if len(out) != len(slot) {
-			return 0, malformedSend(a, v, len(out), len(slot))
-		}
-		copy(slot, out)
-	}
-	sent := 0
-	for _, m := range slot {
-		if m != nil {
-			sent++
-		}
-	}
-	return sent, nil
 }

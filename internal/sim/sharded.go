@@ -52,21 +52,20 @@ func RunAuto(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 func Engines() map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error) {
 	return map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error){
 		"sequential": RunSequential,
-		"concurrent": RunConcurrent,
 		"sharded":    RunSharded,
 	}
 }
 
 // WithShards sets the number of worker shards used by RunSharded. Values
 // <= 0 select runtime.GOMAXPROCS(0). The shard count never affects the
-// Result, only the parallelism.
+// Result, only the parallelism. RunSequential ignores it.
 func WithShards(p int) Option {
 	return func(c *config) { c.shards = p }
 }
 
-// Worker phase codes sent over the runState.work channel. phaseStop ends
-// the pool without closing the channel, so a pooled channel survives
-// into the next run.
+// Phase codes: what every shard runs between two barriers. phaseStop
+// ends the worker pool without closing a channel, so pooled channels
+// survive into the next run.
 const (
 	phaseStop = iota
 	phaseInit
@@ -75,18 +74,17 @@ const (
 	phaseOutput
 )
 
-// shardedRun is the per-run coordination of the sharded engine: p
-// persistent workers spawned once at run start loop over phase tokens,
-// so a round costs channel operations only — no goroutine spawns, no
-// closures, no allocation. The coordinator writes round between
-// barriers, while every worker is parked on the work channel; the
-// channel send/receive pair orders those writes before the workers'
-// reads.
+// shardedRun is the per-run coordination of the round loop. With p > 1
+// shards, p persistent workers spawned once at run start loop over phase
+// tokens, so a round costs channel operations only — no goroutine
+// spawns, no closures, no allocation. The coordinator writes round
+// between barriers, while every worker is parked on its work channel;
+// the channel send/receive pair orders those writes before the workers'
+// reads. With one shard every phase runs inline on the coordinator.
 type shardedRun struct {
 	st      *runState
 	g       *graph.Graph
 	a       Algorithm
-	bulk    BulkAlgorithm // non-nil: build nodes per shard inside phaseInit
 	off     []int32
 	route   []int32
 	p       int
@@ -99,27 +97,23 @@ type shardedRun struct {
 // coordinator's stop barrier doubles as the release fence for the
 // pooled buffers.
 func (r *shardedRun) worker(s int) {
-	lo, hi := r.st.bounds[s], r.st.bounds[s+1]
 	for {
-		switch <-r.st.work[s] {
-		case phaseInit:
-			r.initPhase(s, lo, hi)
-		case phaseSend:
-			r.sendPhase(s, lo, hi)
-		case phaseRecv:
-			r.recvPhase(s, lo, hi)
-		case phaseOutput:
-			r.outputPhase(s, lo, hi)
-		case phaseStop:
-			r.st.idle <- struct{}{}
+		phase := <-r.st.work[s]
+		r.runPhase(s, phase)
+		r.st.idle <- struct{}{}
+		if phase == phaseStop {
 			return
 		}
-		r.st.idle <- struct{}{}
 	}
 }
 
-// barrier runs one phase on every worker and waits for all of them.
+// barrier runs one phase on every shard and waits for all of them. One
+// shard runs it inline: no worker exists to hand it to.
 func (r *shardedRun) barrier(phase int) {
+	if r.p == 1 {
+		r.runPhase(0, phase)
+		return
+	}
 	for i := 0; i < r.p; i++ {
 		r.st.work[i] <- phase
 	}
@@ -128,20 +122,30 @@ func (r *shardedRun) barrier(phase int) {
 	}
 }
 
-// initPhase builds the shard's nodes when the algorithm is
-// bulk-capable — this is the parallel prologue: every shard carves its
-// state from its own arena concurrently, so setup scales with P — and
-// retires nodes that are born done (zero-round algorithms). Legacy
-// algorithms were already built serially by the coordinator (NewNode
-// order is observable to them, e.g. via shared counters), so for those
-// the phase only retires.
+// runPhase runs one phase on shard s's node range.
+func (r *shardedRun) runPhase(s, phase int) {
+	lo, hi := r.st.bounds[s], r.st.bounds[s+1]
+	switch phase {
+	case phaseInit:
+		r.initPhase(s, lo, hi)
+	case phaseSend:
+		r.sendPhase(s, lo, hi)
+	case phaseRecv:
+		r.recvPhase(s, lo, hi)
+	case phaseOutput:
+		r.outputPhase(s, lo, hi)
+	}
+}
+
+// initPhase builds the shard's nodes — the parallel prologue: every
+// shard carves its state from its own arena concurrently, so setup
+// scales with P — and retires nodes that are born done (zero-round
+// algorithms).
 func (r *shardedRun) initPhase(s, lo, hi int) {
 	st := r.st
-	if r.bulk != nil {
-		if err := st.buildNodes(r.g, r.a, r.bulk, lo, hi, &st.arenas[s]); err != nil {
-			st.stats[s].err = err
-			return
-		}
+	if err := st.buildNodes(r.g, r.a, lo, hi, &st.arenas[s]); err != nil {
+		st.stats[s].err = err
+		return
 	}
 	pending := 0
 	for v := lo; v < hi; v++ {
@@ -159,33 +163,30 @@ func (r *shardedRun) initPhase(s, lo, hi int) {
 // call appends to its own flat buffer, so the epilogue parallelizes
 // like the prologue; the first invalid shard in index order wins the
 // error, which — shards being contiguous ascending ranges — is the
-// same lowest-node error the sequential engine reports.
+// lowest invalid node at every shard count.
 func (r *shardedRun) outputPhase(s, lo, hi int) {
 	if err := collectOutputsRange(r.g, r.a, r.st.nodes, lo, hi, r.outputs); err != nil {
 		r.st.stats[s].err = err
 	}
 }
 
-// sendPhase writes the shard's outbox windows and counts non-nil
-// messages. A malformed Send stops the shard at its first bad node;
-// shards are contiguous ascending ranges, so the first error in shard
-// order is the lowest misbehaving node — the same error the sequential
-// engine reports.
+// sendPhase clears the shard's outbox windows, lets every live node
+// write its own window, and counts the non-nil messages. Retired nodes'
+// windows stay nil.
 func (r *shardedRun) sendPhase(s, lo, hi int) {
 	st := r.st
-	sent := 0
+	out := st.outbox[r.off[lo]:r.off[hi]]
+	clear(out)
 	for v := lo; v < hi; v++ {
-		slot := st.outbox[r.off[v]:r.off[v+1]:r.off[v+1]]
-		if st.done[v] {
-			clear(slot)
-			continue
+		if !st.done[v] {
+			st.nodes[v].SendInto(r.round, st.outbox[r.off[v]:r.off[v+1]:r.off[v+1]])
 		}
-		c, err := st.fillSlot(r.a, v, r.round, slot)
-		if err != nil {
-			st.stats[s].err = err
-			return
+	}
+	sent := 0
+	for _, m := range out {
+		if m != nil {
+			sent++
 		}
-		sent += c
 	}
 	st.stats[s].sent = sent
 }
@@ -213,10 +214,22 @@ func (r *shardedRun) recvPhase(s, lo, hi int) {
 	st.stats[s].pending = pending
 }
 
-// RunSharded executes the algorithm with P worker shards over the graph's
-// flat routing table. Nodes are partitioned into contiguous ranges
-// balanced by port count; each round runs two phases separated by a
-// channel barrier:
+// firstErr returns the error of the lowest shard that reported one:
+// shards are contiguous ascending ranges, so that is the lowest failing
+// node at every shard count.
+func (r *shardedRun) firstErr() error {
+	for s := 0; s < r.p; s++ {
+		if err := r.st.stats[s].err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunSharded executes the algorithm with P shards over the graph's flat
+// routing table (P from WithShards, default GOMAXPROCS, at most one per
+// node). Nodes are partitioned into contiguous ranges balanced by port
+// count; each round runs two phases separated by a barrier:
 //
 //	send:    every shard writes its nodes' outgoing messages into a flat
 //	         outbox indexed by global port number and counts them;
@@ -224,26 +237,30 @@ func (r *shardedRun) recvPhase(s, lo, hi int) {
 //	         table (inbox[j] = outbox[route[j]]), delivers each node's
 //	         contiguous inbox slice, and retires nodes that report Done.
 //
-// The prologue and epilogue are parallel too: bulk-capable algorithms
-// (BulkAlgorithm) have each shard's nodes built inside that shard's
-// persistent worker, state carved from a per-shard StateArena, and each
-// shard collects and validates its own outputs, so setup and teardown
-// scale with P instead of serializing around the round loop.
+// The prologue and epilogue are sharded too: each shard builds its own
+// nodes (Algorithm.BuildNodes, state carved from a per-shard StateArena)
+// and collects and validates its own outputs, so setup and teardown
+// scale with P instead of serializing around the round loop. With P = 1
+// every phase runs inline on the caller's goroutine, exactly as in
+// RunSequential.
 //
 // The two flat arrays, the node and retirement slices, and the shard
-// accounting all come from a pooled runState, and the P workers persist
+// accounting all come from a pooled runState, and the workers persist
 // for the whole run, so a steady-state round performs zero allocations:
-// nodes implementing BufferedNode write their messages straight into
-// the outbox (see fillSlot), and the barriers are plain channel
-// operations. Results are bit-identical to RunSequential for every
+// nodes write their messages straight into the outbox and the barriers
+// are plain channel operations. Results are bit-identical for every
 // shard count.
 //
 // WithRoundHook is honoured: the hook observes the flat outbox through
 // per-node subslices, invoked between the send and receive barriers
-// where no worker goroutine is running, so it sees exactly the matrix
-// the sequential engine would show (retired nodes' slots are nil).
+// where no worker goroutine is running (retired nodes' slots are nil).
 func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	c := buildConfig(opts)
+	return run(g, a, &c)
+}
+
+// run is the round loop behind both entry points.
+func run(g *graph.Graph, a Algorithm, c *config) (*Result, error) {
 	if err := c.ctxErr(a); err != nil {
 		return nil, err
 	}
@@ -259,37 +276,27 @@ func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 		p = 1
 	}
 
-	clk := startClock(&c)
+	clk := startClock(c)
 	st := acquireState(n, g.NumPorts(), p)
 	// Release only after the workers have stopped: defers run in LIFO
 	// order, so the stop barrier deferred below fences every worker off
 	// the buffers before they return to the pool — on every exit path,
-	// including cancellation and malformed-send errors.
+	// including cancellation and round-limit errors.
 	defer st.release()
 	shardBounds(st.bounds, g.PortOffsets(), n, p)
 
 	r := &shardedRun{st: st, g: g, a: a, off: g.PortOffsets(), route: g.RoutingTable(), p: p}
-	r.bulk, _ = a.(BulkAlgorithm)
-	if r.bulk == nil {
-		// Legacy prologue: NewNode in ascending node order on the
-		// coordinator, because per-node construction may observe its own
-		// ordering (idmatching's counter did before it went bulk).
-		if err := st.buildNodes(g, a, nil, 0, n, &st.arenas[0]); err != nil {
-			return nil, err
+	if p > 1 {
+		for s := 0; s < p; s++ {
+			go r.worker(s)
 		}
+		defer r.barrier(phaseStop)
 	}
-	for s := 0; s < p; s++ {
-		go r.worker(s)
-	}
-	defer r.barrier(phaseStop)
 
-	// Parallel prologue: bulk algorithms build their shard's nodes here,
-	// every shard at once; all shards then retire born-done nodes.
+	// Prologue: every shard builds its nodes and retires born-done ones.
 	r.barrier(phaseInit)
-	for s := 0; s < p; s++ {
-		if err := st.stats[s].err; err != nil {
-			return nil, err
-		}
+	if err := r.firstErr(); err != nil {
+		return nil, err
 	}
 
 	var hookView [][]Message
@@ -318,9 +325,6 @@ func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 		r.round = round
 		r.barrier(phaseSend)
 		for s := 0; s < p; s++ {
-			if err := st.stats[s].err; err != nil {
-				return nil, err
-			}
 			res.Messages += st.stats[s].sent
 		}
 		if c.roundHook != nil {
@@ -331,15 +335,11 @@ func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	}
 	clk.tickRounds()
 
-	// Parallel epilogue: every shard collects and validates its own
-	// output range; the coordinator only checks the per-shard errors in
-	// shard order (lowest bad node wins, as in the sequential engine).
+	// Epilogue: every shard collects and validates its own output range.
 	r.outputs = make([][]int, n)
 	r.barrier(phaseOutput)
-	for s := 0; s < p; s++ {
-		if err := st.stats[s].err; err != nil {
-			return nil, err
-		}
+	if err := r.firstErr(); err != nil {
+		return nil, err
 	}
 	res.Outputs = r.outputs
 	clk.tickOutputs()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -13,10 +14,7 @@ import (
 
 // markAlg is a miniature of the paper's Theorem 3 algorithm: one round,
 // mark port 1, select every edge that touches a port numbered 1.
-type markAlg struct{}
-
-func (markAlg) Name() string            { return "mark-port-one" }
-func (markAlg) NewNode(degree int) Node { return &markNode{deg: degree} }
+var markAlg = PerNode{"mark-port-one", func(degree int) Node { return &markNode{deg: degree} }}
 
 type markNode struct {
 	deg  int
@@ -24,12 +22,10 @@ type markNode struct {
 	out  []int
 }
 
-func (n *markNode) Send(round int) []Message {
-	msgs := make([]Message, n.deg)
+func (n *markNode) SendInto(round int, buf []Message) {
 	if n.deg > 0 {
-		msgs[0] = "mark"
+		buf[0] = "mark"
 	}
-	return msgs
 }
 
 func (n *markNode) Receive(round int, inbox []Message) {
@@ -44,26 +40,23 @@ func (n *markNode) Receive(round int, inbox []Message) {
 	n.done = true
 }
 
-func (n *markNode) Done() bool    { return n.done }
-func (n *markNode) Output() []int { return n.out }
+func (n *markNode) Done() bool                   { return n.done }
+func (n *markNode) AppendOutput(dst []int) []int { return append(dst, n.out...) }
 
 // sumAlg runs `rounds` rounds, each node broadcasting a running sum seeded
 // with its degree; the output is empty. It exercises multi-round routing.
-type sumAlg struct{ rounds int }
-
-func (sumAlg) Name() string              { return "degree-sum" }
-func (a sumAlg) NewNode(degree int) Node { return &sumNode{deg: degree, left: a.rounds, sum: degree} }
-
-type sumNode struct {
-	deg, left, sum int
+func sumAlg(rounds int) Algorithm {
+	return PerNode{"degree-sum", func(degree int) Node { return &sumNode{left: rounds, sum: degree} }}
 }
 
-func (n *sumNode) Send(round int) []Message {
-	msgs := make([]Message, n.deg)
-	for i := range msgs {
-		msgs[i] = n.sum
+type sumNode struct {
+	left, sum int
+}
+
+func (n *sumNode) SendInto(round int, buf []Message) {
+	for i := range buf {
+		buf[i] = n.sum
 	}
-	return msgs
 }
 
 func (n *sumNode) Receive(round int, inbox []Message) {
@@ -73,38 +66,38 @@ func (n *sumNode) Receive(round int, inbox []Message) {
 	n.left--
 }
 
-func (n *sumNode) Done() bool    { return n.left <= 0 }
-func (n *sumNode) Output() []int { return nil }
+func (n *sumNode) Done() bool                   { return n.left <= 0 }
+func (n *sumNode) AppendOutput(dst []int) []int { return dst }
 
 // neverAlg never terminates.
-type neverAlg struct{}
+var neverAlg = PerNode{"never", func(int) Node { return neverNode{} }}
 
-func (neverAlg) Name() string            { return "never" }
-func (neverAlg) NewNode(degree int) Node { return &neverNode{deg: degree} }
+type neverNode struct{}
 
-type neverNode struct{ deg int }
-
-func (n *neverNode) Send(round int) []Message           { return make([]Message, n.deg) }
-func (n *neverNode) Receive(round int, inbox []Message) {}
-func (n *neverNode) Done() bool                         { return false }
-func (n *neverNode) Output() []int                      { return nil }
+func (neverNode) SendInto(round int, buf []Message)  {}
+func (neverNode) Receive(round int, inbox []Message) {}
+func (neverNode) Done() bool                         { return false }
+func (neverNode) AppendOutput(dst []int) []int       { return dst }
 
 // badPortAlg outputs an out-of-range port.
-type badPortAlg struct{}
-
-func (badPortAlg) Name() string            { return "bad-port" }
-func (badPortAlg) NewNode(degree int) Node { return &badPortNode{deg: degree} }
+var badPortAlg = PerNode{"bad-port", func(degree int) Node { return badPortNode{deg: degree} }}
 
 type badPortNode struct{ deg int }
 
-func (n *badPortNode) Send(round int) []Message           { return make([]Message, n.deg) }
-func (n *badPortNode) Receive(round int, inbox []Message) {}
-func (n *badPortNode) Done() bool                         { return true }
-func (n *badPortNode) Output() []int                      { return []int{n.deg + 1} }
+func (n badPortNode) SendInto(round int, buf []Message)  {}
+func (n badPortNode) Receive(round int, inbox []Message) {}
+func (n badPortNode) Done() bool                         { return true }
+func (n badPortNode) AppendOutput(dst []int) []int       { return append(dst, n.deg+1) }
+
+// shardPerNode runs the sharded engine with one shard per node, the most
+// interleaved schedule it has.
+func shardPerNode(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
+	return RunSharded(g, a, append(opts, WithShards(g.N()))...)
+}
 
 func TestMarkAlgOnCycle(t *testing.T) {
 	g := gen.Cycle(5)
-	res, err := RunSequential(g, markAlg{})
+	res, err := RunSequential(g, markAlg)
 	if err != nil {
 		t.Fatalf("RunSequential: %v", err)
 	}
@@ -139,12 +132,12 @@ func TestEnginesAgreeQuick(t *testing.T) {
 		default:
 			g = gen.RandomTree(rng, 2+rng.Intn(15))
 		}
-		for _, alg := range []Algorithm{markAlg{}, sumAlg{rounds: 3}} {
+		for _, alg := range []Algorithm{markAlg, sumAlg(3)} {
 			seq, err := RunSequential(g, alg)
 			if err != nil {
 				return false
 			}
-			for _, run := range []func(*graph.Graph, Algorithm, ...Option) (*Result, error){RunConcurrent, RunSharded} {
+			for _, run := range []func(*graph.Graph, Algorithm, ...Option) (*Result, error){RunSharded, shardPerNode} {
 				res, err := run(g, alg)
 				if err != nil {
 					return false
@@ -171,18 +164,11 @@ func TestEnginesOnMultigraph(t *testing.T) {
 	b.MustConnect(0, 1, 0, 2)
 	b.MustConnect(0, 3, 0, 3)
 	g := b.MustBuild()
-	seq, err := RunSequential(g, sumAlg{rounds: 2})
+	seq, err := RunSequential(g, sumAlg(2))
 	if err != nil {
 		t.Fatalf("RunSequential: %v", err)
 	}
-	con, err := RunConcurrent(g, sumAlg{rounds: 2})
-	if err != nil {
-		t.Fatalf("RunConcurrent: %v", err)
-	}
-	if seq.Messages != con.Messages || seq.Rounds != con.Rounds {
-		t.Errorf("engines disagree: %+v vs %+v", seq, con)
-	}
-	sh, err := RunSharded(g, sumAlg{rounds: 2})
+	sh, err := RunSharded(g, sumAlg(2))
 	if err != nil {
 		t.Fatalf("RunSharded: %v", err)
 	}
@@ -193,33 +179,28 @@ func TestEnginesOnMultigraph(t *testing.T) {
 
 // varAlg runs for as many rounds as the node's own degree, broadcasting
 // every round: on irregular graphs nodes retire at different times. This
-// is the regression test for the sequential engine's done-scan — an early
-// break used to leave retired nodes' flags unset, so they kept sending
-// (inflating Messages relative to the other engines, or crashing nodes
-// whose Send cannot run past their schedule).
-type varAlg struct{}
+// is the regression test for retirement bookkeeping — a sequential
+// done-scan with an early break once left retired nodes' flags unset, so
+// they kept sending (inflating Messages relative to the other engines, or
+// crashing nodes whose SendInto cannot run past their schedule).
+var varAlg = PerNode{"degree-rounds", func(degree int) Node { return &varNode{left: degree} }}
 
-func (varAlg) Name() string            { return "degree-rounds" }
-func (varAlg) NewNode(degree int) Node { return &varNode{deg: degree, left: degree} }
+type varNode struct{ left int }
 
-type varNode struct{ deg, left int }
-
-func (n *varNode) Send(round int) []Message {
-	msgs := make([]Message, n.deg)
-	for i := range msgs {
-		msgs[i] = "tick"
+func (n *varNode) SendInto(round int, buf []Message) {
+	for i := range buf {
+		buf[i] = "tick"
 	}
-	return msgs
 }
 
 func (n *varNode) Receive(round int, inbox []Message) { n.left-- }
 func (n *varNode) Done() bool                         { return n.left <= 0 }
-func (n *varNode) Output() []int                      { return nil }
+func (n *varNode) AppendOutput(dst []int) []int       { return dst }
 
 func TestHeterogeneousTermination(t *testing.T) {
 	// Star K_{1,4}: the centre runs 4 rounds, the leaves one round each.
 	g := graph.MustFromUndirected(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	seq, err := RunSequential(g, varAlg{})
+	seq, err := RunSequential(g, varAlg)
 	if err != nil {
 		t.Fatalf("RunSequential: %v", err)
 	}
@@ -231,10 +212,10 @@ func TestHeterogeneousTermination(t *testing.T) {
 		t.Errorf("Messages = %d, want %d (retired leaves must not send)", seq.Messages, want)
 	}
 	for name, run := range map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error){
-		"concurrent": RunConcurrent,
-		"sharded":    RunSharded,
+		"sharded":          RunSharded,
+		"sharded/per-node": shardPerNode,
 	} {
-		res, err := run(g, varAlg{})
+		res, err := run(g, varAlg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -257,7 +238,7 @@ func TestCoveringMapLemma(t *testing.T) {
 	bg.MustConnect(0, 1, 0, 2)
 	g := bg.MustBuild()
 
-	for _, alg := range []Algorithm{markAlg{}, sumAlg{rounds: 4}} {
+	for _, alg := range []Algorithm{markAlg, sumAlg(4)} {
 		rh, err := RunSequential(h, alg)
 		if err != nil {
 			t.Fatalf("run on cover: %v", err)
@@ -277,20 +258,17 @@ func TestCoveringMapLemma(t *testing.T) {
 
 func TestRoundLimit(t *testing.T) {
 	g := gen.Cycle(4)
-	if _, err := RunSequential(g, neverAlg{}, WithMaxRounds(10)); !errors.Is(err, ErrRoundLimit) {
+	if _, err := RunSequential(g, neverAlg, WithMaxRounds(10)); !errors.Is(err, ErrRoundLimit) {
 		t.Errorf("sequential: err = %v, want ErrRoundLimit", err)
 	}
-	if _, err := RunConcurrent(g, neverAlg{}, WithMaxRounds(10)); !errors.Is(err, ErrRoundLimit) {
-		t.Errorf("concurrent: err = %v, want ErrRoundLimit", err)
-	}
-	if _, err := RunSharded(g, neverAlg{}, WithMaxRounds(10)); !errors.Is(err, ErrRoundLimit) {
+	if _, err := RunSharded(g, neverAlg, WithMaxRounds(10)); !errors.Is(err, ErrRoundLimit) {
 		t.Errorf("sharded: err = %v, want ErrRoundLimit", err)
 	}
 }
 
 func TestInvalidOutputRejected(t *testing.T) {
 	g := gen.Cycle(4)
-	if _, err := RunSequential(g, badPortAlg{}); err == nil {
+	if _, err := RunSequential(g, badPortAlg); err == nil {
 		t.Error("out-of-range output accepted")
 	}
 }
@@ -322,7 +300,7 @@ func TestRoundHookSeesMessages(t *testing.T) {
 			}
 		}
 	}
-	res, err := RunSequential(g, sumAlg{rounds: 2}, WithRoundHook(hook))
+	res, err := RunSequential(g, sumAlg(2), WithRoundHook(hook))
 	if err != nil {
 		t.Fatalf("RunSequential: %v", err)
 	}
@@ -334,20 +312,43 @@ func TestRoundHookSeesMessages(t *testing.T) {
 	}
 }
 
+// TestOneShardRunsInline pins that a one-shard run — RunSequential, or
+// RunSharded with one shard — starts no goroutine: the hook, which runs
+// between the send and receive phases, never sees more goroutines than
+// existed before the run.
+func TestOneShardRunsInline(t *testing.T) {
+	g := gen.Cycle(64)
+	for name, run := range map[string]func(...Option) (*Result, error){
+		"sequential": func(opts ...Option) (*Result, error) { return RunSequential(g, sumAlg(3), opts...) },
+		"sharded/1": func(opts ...Option) (*Result, error) {
+			return RunSharded(g, sumAlg(3), append(opts, WithShards(1))...)
+		},
+	} {
+		before := runtime.NumGoroutine()
+		most := 0
+		if _, err := run(WithRoundHook(func(int, [][]Message) { most = max(most, runtime.NumGoroutine()) })); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if most > before {
+			t.Errorf("%s: %d goroutines during the run, %d before it", name, most, before)
+		}
+	}
+}
+
 func TestRunAutoHonoursRoundHook(t *testing.T) {
 	// Above the auto threshold RunAuto prefers the sharded engine, but a
 	// round hook must force the sequential engine — the only one that
 	// honours it — so the hook never goes silently uninvoked.
 	g := gen.Cycle(AutoShardedPorts) // 2n ports, above the sharded cutover
 	hooked := 0
-	res, err := RunAuto(g, sumAlg{rounds: 2}, WithRoundHook(func(int, [][]Message) { hooked++ }))
+	res, err := RunAuto(g, sumAlg(2), WithRoundHook(func(int, [][]Message) { hooked++ }))
 	if err != nil {
 		t.Fatalf("RunAuto with hook: %v", err)
 	}
 	if hooked != res.Rounds {
 		t.Errorf("hook fired %d times, want %d", hooked, res.Rounds)
 	}
-	plain, err := RunAuto(g, sumAlg{rounds: 2})
+	plain, err := RunAuto(g, sumAlg(2))
 	if err != nil {
 		t.Fatalf("RunAuto: %v", err)
 	}
@@ -357,7 +358,7 @@ func TestRunAutoHonoursRoundHook(t *testing.T) {
 }
 
 func TestEnginesRegistryComplete(t *testing.T) {
-	want := []string{"sequential", "concurrent", "sharded"}
+	want := []string{"sequential", "sharded"}
 	reg := Engines()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d engines, want %d", len(reg), len(want))
@@ -373,7 +374,7 @@ func TestIsolatedNodes(t *testing.T) {
 	// Degree-0 nodes send and receive nothing but still run rounds and
 	// terminate with an empty output.
 	g := graph.MustFromUndirected(3, nil)
-	res, err := RunSequential(g, markAlg{})
+	res, err := RunSequential(g, markAlg)
 	if err != nil {
 		t.Fatalf("RunSequential: %v", err)
 	}
@@ -389,7 +390,7 @@ func TestIsolatedNodes(t *testing.T) {
 
 func TestRunToEdgeSet(t *testing.T) {
 	g := gen.Complete(4)
-	d, res, err := RunToEdgeSet(g, markAlg{})
+	d, res, err := RunToEdgeSet(g, markAlg)
 	if err != nil {
 		t.Fatalf("RunToEdgeSet: %v", err)
 	}
