@@ -22,8 +22,12 @@
 // Run a graph:
 //
 //	edsrun -graph cycle:12 ... writes the same wire format this accepts:
-//	curl --data-binary @graph.txt 'localhost:8080/v1/run?alg=auto&engine=auto'
+//	curl --data-binary @graph.txt 'localhost:8080/v1/run?alg=auto'
 //	curl 'localhost:8080/v1/run?edges=1&stream=1' --data-binary @graph.txt   # NDJSON edge stream
+//
+// The daemon decides how many shards a run uses (sim.RunAuto: one per
+// CPU on large graphs); clients cannot choose, since the shard count
+// never changes a result.
 //
 // Operational endpoints: GET /livez (process liveness), GET /readyz
 // (200 while accepting runs, 503 while draining; peers and load

@@ -5,14 +5,14 @@
 // Usage:
 //
 //	edsrun -graph cycle:12 -alg auto
-//	edsrun -graph regular:n=20,d=3 -alg regularodd -engine sequential
-//	edsrun -graph regular:n=100000,d=3 -alg regularodd -engine sharded -shards 8
+//	edsrun -graph regular:n=20,d=3 -alg regularodd -shards 1
+//	edsrun -graph regular:n=100000,d=3 -alg regularodd -shards 8
 //	edsrun -graph evenlb:d=6 -alg portone -dot out.dot
 //
-// Engines: sequential (one shard, inline: the reference), sharded (one
-// worker per CPU by default), auto (sharded from sim.AutoShardedPorts
-// ports up on multi-core, sequential otherwise). Both produce identical
-// results.
+// Shards: 0 (the default) lets sim.RunAuto choose — one shard per CPU
+// from sim.AutoShardedPorts ports up on multi-core, one inline shard
+// otherwise; N > 0 runs exactly N shards, and -shards 1 is the inline
+// reference. Every shard count produces identical results.
 //
 // Graphs: cycle:N, path:N, complete:N, hypercube:DIM, torus:RxC,
 // petersen, matching:K, regular:n=N,d=D, bounded:n=N,delta=D,
@@ -37,8 +37,7 @@ func main() {
 	log.SetPrefix("edsrun: ")
 	graphSpec := flag.String("graph", "cycle:12", "graph specification (see -help)")
 	algSpec := flag.String("alg", "auto", "algorithm: auto|portone|regularodd|regularodd-nopruning|general[:D]|alledges")
-	engine := flag.String("engine", "sequential", "engine: sequential|sharded|auto")
-	shards := flag.Int("shards", 0, "worker shards for the sharded engine (0 = one per CPU)")
+	shards := flag.Int("shards", 0, "worker shards (0 = chosen by graph size and CPU count, 1 = inline reference)")
 	seed := flag.Int64("seed", 1, "seed for random graph families")
 	dotOut := flag.String("dot", "", "write a DOT rendering with the output highlighted")
 	exact := flag.Bool("exact", false, "also compute the exact optimum (exponential; small graphs only)")
@@ -54,26 +53,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var res *sim.Result
+	if *shards < 0 {
+		log.Fatalf("-shards %d: must be 0 (auto) or a positive count", *shards)
+	}
 	var trace *sim.Trace
-	traceOpts := func() []sim.Option {
-		if !*profile {
-			return nil
-		}
+	var opts []sim.Option
+	if *profile {
 		var traceOpt sim.Option
 		trace, traceOpt = sim.NewTrace()
-		return []sim.Option{traceOpt}
+		opts = append(opts, traceOpt)
 	}
-	switch *engine {
-	case "auto":
-		res, err = sim.RunAuto(g, alg, append(traceOpts(), sim.WithShards(*shards))...)
-	case "sequential":
-		res, err = sim.RunSequential(g, alg, traceOpts()...)
-	case "sharded":
-		res, err = sim.RunSharded(g, alg, append(traceOpts(), sim.WithShards(*shards))...)
-	default:
-		log.Fatalf("unknown engine %q", *engine)
+	run := sim.RunAuto
+	if *shards > 0 {
+		run = sim.RunSharded
+		opts = append(opts, sim.WithShards(*shards))
 	}
+	res, err := run(g, alg, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,8 +10,6 @@
 //	                past the callback that received them
 //	roundctx        round loops must poll the run context; cancellation
 //	                errors must wrap the shared ErrCanceled sentinel
-//	enginekey       new engine registrations must assert result
-//	                equivalence or opt out of result-cache sharing
 //
 // Usage:
 //

@@ -37,6 +37,7 @@ import (
 	"eds/internal/graph"
 	"eds/internal/ratio"
 	"eds/internal/sim"
+	"eds/internal/spec"
 	"eds/internal/verify"
 )
 
@@ -170,18 +171,14 @@ func AllEdges() Algorithm { return core.AllEdges{} }
 // ForGraph picks the algorithm with the best worst-case guarantee for g:
 // AllEdges for max degree <= 1, PortOne for even-regular, RegularOdd for
 // odd-regular, and General(Δ) otherwise. The returned ratio is the tight
-// worst-case guarantee.
+// worst-case guarantee. It is the "auto" algorithm spec that edsrun and
+// edsd resolve, so all three always agree.
 func ForGraph(g *Graph) (Algorithm, Ratio, error) {
-	if g.MaxDegree() <= 1 {
-		return core.AllEdges{}, ratio.FromInt(1), nil
+	alg, bound, err := spec.Algorithm("auto", g)
+	if err != nil {
+		return nil, Ratio{}, err
 	}
-	if d, ok := g.Regular(); ok {
-		if d%2 == 0 {
-			return core.PortOne{}, ratio.EvenRegularBound(d), nil
-		}
-		return core.RegularOdd{}, ratio.OddRegularBound(d), nil
-	}
-	return core.NewGeneral(g.MaxDegree()), ratio.BoundedDegreeBound(g.MaxDegree()), nil
+	return alg, *bound, nil
 }
 
 // Run executes the algorithm on one shard, inline on the caller's
@@ -199,11 +196,11 @@ func RunSharded(g *Graph, a Algorithm, opts ...Option) (*EdgeSet, *Result, error
 	return runWith(sim.RunSharded, g, a, opts...)
 }
 
-// RunAuto picks an engine by setup volume (sim.EngineChoice: the
-// sequential reference for small graphs or single-CPU processes, the
-// sharded engine once the port count crosses sim.AutoShardedPorts on
-// multi-core) and returns the selected edge set. Both engines return
-// identical results, so the choice affects only the wall-clock time.
+// RunAuto picks the shard count by setup volume (sim.EngineChoice: one
+// inline shard for small graphs or single-CPU processes, one per CPU
+// once the port count crosses sim.AutoShardedPorts on multi-core) and
+// returns the selected edge set. Every shard count returns identical
+// results, so the choice affects only the wall-clock time.
 func RunAuto(g *Graph, a Algorithm, opts ...Option) (*EdgeSet, *Result, error) {
 	return runWith(sim.RunAuto, g, a, opts...)
 }
@@ -245,18 +242,10 @@ func GreedyMaximalMatching(g *Graph) *EdgeSet {
 }
 
 // TightRatio returns the paper's tight approximation ratio for the graph
-// family g belongs to (Table 1).
+// family g belongs to (Table 1): the bound ForGraph returns.
 func TightRatio(g *Graph) Ratio {
-	if g.MaxDegree() <= 1 {
-		return ratio.FromInt(1)
-	}
-	if d, ok := g.Regular(); ok {
-		if d%2 == 0 {
-			return ratio.EvenRegularBound(d)
-		}
-		return ratio.OddRegularBound(d)
-	}
-	return ratio.BoundedDegreeBound(g.MaxDegree())
+	_, bound, _ := ForGraph(g)
+	return bound
 }
 
 // MeasuredRatio returns |d| / |opt| as an exact rational, where opt is

@@ -108,26 +108,3 @@ func TestFormatStudy(t *testing.T) {
 		t.Errorf("FormatStudy output missing family: %s", out)
 	}
 }
-
-func TestEngineScalingAgreesAcrossEngines(t *testing.T) {
-	engines := []string{"sequential", "sharded"}
-	rows, err := EngineScaling(11, 3, []int{32, 64}, engines)
-	if err != nil {
-		t.Fatalf("EngineScaling: %v", err)
-	}
-	if len(rows) != 2*len(engines) {
-		t.Fatalf("got %d rows, want %d", len(rows), 2*len(engines))
-	}
-	out := FormatEngineScaling(rows)
-	for _, e := range engines {
-		if !strings.Contains(out, e) {
-			t.Errorf("FormatEngineScaling missing engine %s", e)
-		}
-	}
-}
-
-func TestEngineScalingRejectsUnknownEngine(t *testing.T) {
-	if _, err := EngineScaling(11, 3, []int{16}, []string{"warp"}); err == nil {
-		t.Error("unknown engine accepted")
-	}
-}

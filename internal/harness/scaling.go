@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"eds/internal/core"
 	"eds/internal/gen"
@@ -59,93 +58,6 @@ func RoundScaling(seed int64, d int, sizes []int) ([]ScalingRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// EngineRow is one data point of the engine-scaling study: the same
-// workload executed by each simulation engine, with the wall-clock time
-// it took. Rounds and Messages are engine-invariant (the equivalence
-// suite in internal/sim guarantees it), so the study reports them once
-// per row only as a sanity check.
-type EngineRow struct {
-	Engine   string
-	D, N     int
-	Rounds   int
-	Messages int
-	Elapsed  time.Duration
-	// Setup and RoundTime split Elapsed via sim.WithTimings: node
-	// construction versus the round loop. The remainder is output
-	// collection. The split shows where an engine's time goes — the
-	// sharded engine parallelizes all three phases.
-	Setup     time.Duration
-	RoundTime time.Duration
-}
-
-// EngineScaling times every named engine on the same random d-regular
-// graph of each size, verifying along the way that rounds and message
-// counts agree across engines. Engine names: sequential, sharded.
-func EngineScaling(seed int64, d int, sizes []int, engines []string) ([]EngineRow, error) {
-	rng := rand.New(rand.NewSource(seed))
-	var alg sim.Algorithm
-	if d%2 == 0 {
-		alg = core.PortOne{}
-	} else {
-		alg = core.RegularOdd{}
-	}
-	var rows []EngineRow
-	for _, n := range sizes {
-		if n*d%2 != 0 {
-			n++
-		}
-		g, err := gen.RandomRegular(rng, n, d)
-		if err != nil {
-			return nil, err
-		}
-		// Build the flat routing view up front so the sharded engine's
-		// row times the rounds, not the one-time CSR construction.
-		g.RoutingTable()
-		var ref *sim.Result
-		for _, name := range engines {
-			run, ok := sim.Engines()[name]
-			if !ok {
-				return nil, fmt.Errorf("harness: unknown engine %q", name)
-			}
-			var split sim.Timings
-			start := time.Now()
-			res, err := run(g, alg, sim.WithTimings(&split))
-			elapsed := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("harness: engine %s on n=%d: %w", name, n, err)
-			}
-			if ref == nil {
-				ref = res
-			} else if res.Rounds != ref.Rounds || res.Messages != ref.Messages {
-				return nil, fmt.Errorf("harness: engine %s diverges on n=%d: rounds %d/%d, messages %d/%d",
-					name, n, res.Rounds, ref.Rounds, res.Messages, ref.Messages)
-			}
-			rows = append(rows, EngineRow{
-				Engine:    name,
-				D:         d,
-				N:         n,
-				Rounds:    res.Rounds,
-				Messages:  res.Messages,
-				Elapsed:   elapsed,
-				Setup:     split.Setup,
-				RoundTime: split.Rounds,
-			})
-		}
-	}
-	return rows, nil
-}
-
-// FormatEngineScaling renders engine rows as an aligned table.
-func FormatEngineScaling(rows []EngineRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %4s %8s %8s %10s %12s %12s %12s\n", "engine", "d", "n", "rounds", "messages", "elapsed", "setup", "rounds-time")
-	sb.WriteString(strings.Repeat("-", 86) + "\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-12s %4d %8d %8d %10d %12s %12s %12s\n", r.Engine, r.D, r.N, r.Rounds, r.Messages, r.Elapsed, r.Setup, r.RoundTime)
-	}
-	return sb.String()
 }
 
 // FormatScaling renders scaling rows as an aligned table.

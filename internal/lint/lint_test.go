@@ -41,7 +41,6 @@ func TestAlgDeterminism(t *testing.T) { runFixture(t, lint.AlgDeterminism, "algd
 func TestOutboxAlias(t *testing.T)    { runFixture(t, lint.OutboxAlias, "outboxalias") }
 func TestArenaAlias(t *testing.T)     { runFixture(t, lint.ArenaAlias, "arenaalias") }
 func TestRoundCtx(t *testing.T)       { runFixture(t, lint.RoundCtx, "roundctx") }
-func TestEngineKey(t *testing.T)      { runFixture(t, lint.EngineKey, "enginekey") }
 
 // TestSuppression checks the //lint:ignore mechanism end to end: the
 // justified violation stays silent, the bare one is reported.
@@ -66,8 +65,8 @@ func TestAnalyzerMetadata(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 5 {
-		t.Errorf("want the 5 edsvet analyzers, got %d", len(seen))
+	if len(seen) != 4 {
+		t.Errorf("want the 4 edsvet analyzers, got %d", len(seen))
 	}
 }
 

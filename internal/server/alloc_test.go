@@ -29,7 +29,7 @@ func TestCachedReplayAllocationBudget(t *testing.T) {
 	body := graphBytes(t, gen.Cycle(2000))
 
 	do := func() (code int, cache string) {
-		req := httptest.NewRequest("POST", "/v1/run?alg=auto&engine=sharded", bytes.NewReader(body))
+		req := httptest.NewRequest("POST", "/v1/run?alg=auto", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		return rec.Code, rec.Header().Get("X-Cache")

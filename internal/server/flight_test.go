@@ -88,7 +88,7 @@ func TestServerCoalescingSharesDeterministicError(t *testing.T) {
 	s := New(Config{Workers: 4, CacheEntries: -1})
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
-	s.runEngine = func(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+	s.runEngine = func(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
 		started <- struct{}{}
 		<-gate
 		return nil, sim.Timings{}, errors.New("deterministic failure for this graph")

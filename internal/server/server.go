@@ -1,6 +1,6 @@
 // Package server implements edsd, the HTTP serving layer over the
 // simulation engines: clients POST a port-numbered graph in the
-// internal/graph wire format together with an algorithm/engine spec and
+// internal/graph wire format together with an algorithm spec and
 // receive the execution's statistics and solution summary as JSON.
 //
 // The server is built for sustained traffic, not one-shot runs:
@@ -42,7 +42,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/run?alg=S&engine=E&shards=P&timeout=D&edges=1&stream=1   body: graph
+//	POST /v1/run?alg=S&timeout=D&edges=1&stream=1   body: graph
 //	POST /internal/v1/fill?...   same contract, peer-to-peer (never re-forwards)
 //	GET  /healthz   (readiness, kept for compatibility)
 //	GET  /livez
@@ -62,7 +62,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"time"
 
 	"eds/internal/cluster"
@@ -169,10 +168,10 @@ type Server struct {
 
 	draining chan struct{} // closed by StartDraining
 
-	// runEngine executes a parsed request on an engine and reports the
-	// run's setup/rounds/outputs wall-time split; tests substitute it to
-	// script slow or failing runs deterministically.
-	runEngine func(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error)
+	// runEngine executes a run and reports its setup/rounds/outputs
+	// wall-time split; tests substitute it to script slow or failing runs
+	// deterministically.
+	runEngine func(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error)
 }
 
 // New returns a Server with the given configuration.
@@ -238,18 +237,12 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-func defaultRunEngine(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+// defaultRunEngine runs on the shard count sim.RunAuto picks for this
+// process. Clients have no say in it: the count never changes a result,
+// and an unbounded one is a goroutine per node.
+func defaultRunEngine(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
 	var split sim.Timings
-	opts := []sim.Option{sim.WithContext(ctx), sim.WithShards(shards), sim.WithTimings(&split)}
-	if engine == "auto" {
-		res, err := sim.RunAuto(g, a, opts...)
-		return res, split, err
-	}
-	run, ok := sim.Engines()[engine]
-	if !ok {
-		return nil, split, fmt.Errorf("server: unknown engine %q", engine)
-	}
-	res, err := run(g, a, opts...)
+	res, err := sim.RunAuto(g, a, sim.WithContext(ctx), sim.WithTimings(&split))
 	return res, split, err
 }
 
@@ -283,8 +276,6 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 // runRequest is one parsed and validated /v1/run request.
 type runRequest struct {
 	algSpec      string
-	engine       string
-	shards       int
 	timeout      time.Duration
 	includeEdges bool
 	stream       bool
@@ -294,24 +285,10 @@ func (s *Server) parseRunRequest(r *http.Request) (runRequest, error) {
 	q := r.URL.Query()
 	req := runRequest{
 		algSpec: q.Get("alg"),
-		engine:  q.Get("engine"),
 		timeout: s.cfg.DefaultTimeout,
 	}
 	if req.algSpec == "" {
 		req.algSpec = "auto"
-	}
-	if req.engine == "" {
-		req.engine = "auto"
-	}
-	if _, ok := sim.Engines()[req.engine]; !ok && req.engine != "auto" {
-		return req, fmt.Errorf("unknown engine %q", req.engine)
-	}
-	if v := q.Get("shards"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			return req, fmt.Errorf("bad shards %q: %v", v, err)
-		}
-		req.shards = p
 	}
 	if v := q.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -355,9 +332,12 @@ func (s *Server) parseRunRequest(r *http.Request) (runRequest, error) {
 //	                graph's owner, so cache identity and ownership can
 //	                never disagree.
 //
-// Engine and shard count are deliberately excluded from both keys: every
-// engine returns identical results, which the cross-engine equivalence
-// suite enforces.
+// The shard count is deliberately excluded from both keys: results do
+// not depend on it, which the shard-count invariance suite in
+// internal/sim/engines_test.go (TestShardCountInvariance,
+// TestCrossEngineEquivalence) asserts. The same invariance lets the server
+// decide the count itself (defaultRunEngine) and ignore any count a
+// client sends.
 func cacheKey(sum [sha256.Size]byte, algName string, includeEdges bool) string {
 	return fmt.Sprintf("%x|%s|%v", sum, algName, includeEdges)
 }
@@ -634,61 +614,84 @@ func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequ
 		}
 	}
 
+	code, msg := s.execute(ctx, w, req, g, alg, func(res *sim.Result) error {
+		respBody, err := buildResponse(g, alg.Name(), bound, res, req.includeEdges)
+		if err != nil {
+			return err
+		}
+		s.cache.put(key, respBody)
+		s.cache.put(rawKey, respBody)
+		s.flights.finish(key, f, flightResult{code: http.StatusOK, body: respBody})
+		// The flight is closed to joiners once finish removed the key, so
+		// its size — leader plus every coalesced follower and fill — is
+		// now stable: that is this run's batch yield.
+		s.st.recordBatch(f.size.Load())
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Cache", "miss")
+		w.Write(respBody)
+		s.st.recordStatus(http.StatusOK)
+		return nil
+	})
+	if code == 0 {
+		return
+	}
+	// Only a failure that is deterministic for this graph and algorithm
+	// is shared; the rest were private to this request's budget, so the
+	// followers retry with their own.
+	var shared flightResult
+	if code == http.StatusInternalServerError {
+		shared = flightResult{code: code, msg: msg}
+	}
+	s.flights.finish(key, f, shared)
+}
+
+// execute is the one run path behind leadRun and streamRun. It admits
+// the request into the worker pool, runs the engine, records the run's
+// latency and phase split, and calls respond with the result while the
+// worker slot is still held. A failure is answered here, as a JSON error
+// with the same status and message on both paths, and returned (code 0
+// means success): 429 when the queue is full, 504 or 499 when the
+// deadline passes or the client leaves (queued or mid-run), and 500 when
+// the run fails deterministically (round limit, invalid output) or
+// respond returns an error before writing.
+func (s *Server) execute(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, respond func(*sim.Result) error) (code int, msg string) {
+	fail := func(code int, format string, args ...any) (int, string) {
+		msg := fmt.Sprintf(format, args...)
+		s.writeError(w, code, "%s", msg)
+		return code, msg
+	}
 	release, code := s.acquire(ctx)
 	if code != 0 {
-		s.flights.finish(key, f, flightResult{})
-		s.writeError(w, code, "request not admitted (%d workers busy, queue of %d full or deadline passed)",
+		return fail(code, "request not admitted (%d workers busy, queue of %d full or deadline passed)",
 			s.cfg.Workers, s.cfg.QueueDepth)
-		return
 	}
 	defer release()
 
 	start := time.Now()
-	res, split, err := s.runEngine(ctx, req.engine, req.shards, g, alg)
-	if err != nil {
-		if errors.Is(err, sim.ErrCanceled) {
-			s.flights.finish(key, f, flightResult{})
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.writeError(w, http.StatusGatewayTimeout, "run exceeded its %s deadline", req.timeout)
-				return
-			}
-			s.writeError(w, StatusClientClosedRequest, "client canceled the run")
-			return
-		}
-		// Round limits, malformed algorithm behaviour: deterministic for
-		// this graph and algorithm, so the followers share the failure.
-		msg := err.Error()
-		s.flights.finish(key, f, flightResult{code: http.StatusInternalServerError, msg: msg})
-		s.writeError(w, http.StatusInternalServerError, "%s", msg)
-		return
+	res, split, err := s.runEngine(ctx, g, alg)
+	switch {
+	case errors.Is(err, sim.ErrCanceled) && errors.Is(err, context.DeadlineExceeded):
+		return fail(http.StatusGatewayTimeout, "run exceeded its %s deadline", req.timeout)
+	case errors.Is(err, sim.ErrCanceled):
+		return fail(StatusClientClosedRequest, "client canceled the run")
+	case err != nil:
+		return fail(http.StatusInternalServerError, "%s", err)
 	}
 	s.st.recordLatency(alg.Name(), time.Since(start))
 	s.st.recordPhases(split)
-
-	respBody, err := buildResponse(g, alg.Name(), bound, res, req.includeEdges)
-	if err != nil {
-		msg := err.Error()
-		s.flights.finish(key, f, flightResult{code: http.StatusInternalServerError, msg: msg})
-		s.writeError(w, http.StatusInternalServerError, "%s", msg)
-		return
+	if err := respond(res); err != nil {
+		return fail(http.StatusInternalServerError, "%s", err)
 	}
-	s.cache.put(key, respBody)
-	s.cache.put(rawKey, respBody)
-	s.flights.finish(key, f, flightResult{code: http.StatusOK, body: respBody})
-	// The flight is closed to joiners once finish removed the key, so
-	// its size — leader plus every coalesced follower and fill — is now
-	// stable: that is this run's batch yield.
-	s.st.recordBatch(f.size.Load())
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "miss")
-	w.Write(respBody)
-	s.st.recordStatus(http.StatusOK)
+	return 0, ""
 }
 
-func buildResponse(g *graph.Graph, algName string, bound *ratio.R, res *sim.Result, includeEdges bool) ([]byte, error) {
+// summarize collects the run's edge set and the summary both response
+// shapes share: the buffered body adds the edge list to it, the NDJSON
+// stream follows it with one line per edge.
+func summarize(g *graph.Graph, algName string, bound *ratio.R, res *sim.Result) (RunResponse, *graph.EdgeSet, error) {
 	d, err := sim.EdgeSet(g, res.Outputs)
 	if err != nil {
-		return nil, fmt.Errorf("collecting edge set: %w", err)
+		return RunResponse{}, nil, fmt.Errorf("collecting edge set: %w", err)
 	}
 	resp := RunResponse{
 		Algorithm:  algName,
@@ -702,6 +705,14 @@ func buildResponse(g *graph.Graph, algName string, bound *ratio.R, res *sim.Resu
 	if bound != nil {
 		resp.Bound = bound.String()
 	}
+	return resp, d, nil
+}
+
+func buildResponse(g *graph.Graph, algName string, bound *ratio.R, res *sim.Result, includeEdges bool) ([]byte, error) {
+	resp, d, err := summarize(g, algName, bound, res)
+	if err != nil {
+		return nil, err
+	}
 	if includeEdges {
 		resp.EdgeList = make([][2]int, 0, d.Count())
 		for _, idx := range d.Indices() {
@@ -709,6 +720,11 @@ func buildResponse(g *graph.Graph, algName string, bound *ratio.R, res *sim.Resu
 			resp.EdgeList = append(resp.EdgeList, [2]int{e.U(), e.V()})
 		}
 	}
+	return marshalLine(resp)
+}
+
+// marshalLine renders resp as one newline-terminated JSON line.
+func marshalLine(resp RunResponse) ([]byte, error) {
 	body, err := json.Marshal(resp)
 	if err != nil {
 		return nil, err

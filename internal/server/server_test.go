@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,7 +66,7 @@ func TestServerHappyPath(t *testing.T) {
 	defer ts.Close()
 
 	g := gen.Cycle(12)
-	resp, body := postRun(t, ts.Client(), ts.URL, "?alg=auto&engine=auto&edges=1", graphBytes(t, g))
+	resp, body := postRun(t, ts.Client(), ts.URL, "?alg=auto&edges=1", graphBytes(t, g))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -90,18 +91,6 @@ func TestServerHappyPath(t *testing.T) {
 	}
 	if rr.Bound == "" {
 		t.Error("bound missing for a regular graph")
-	}
-
-	// Every engine name must be accepted and agree.
-	for _, engine := range []string{"sequential", "sharded"} {
-		resp, body2 := postRun(t, ts.Client(), ts.URL, "?alg=portone&engine="+engine, graphBytes(t, g))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("engine %s: status = %d, body %s", engine, resp.StatusCode, body2)
-		}
-		rr2 := decodeRun(t, body2)
-		if rr2.Edges != rr.Edges || rr2.Rounds != rr.Rounds || rr2.Messages != rr.Messages {
-			t.Errorf("engine %s disagrees: %+v vs %+v", engine, rr2, rr)
-		}
 	}
 }
 
@@ -161,11 +150,8 @@ func TestServerBadRequests(t *testing.T) {
 		{"conn before nodes", "", "conn 0 1 1 1\n", http.StatusBadRequest},
 		{"empty body", "", "", http.StatusBadRequest},
 		{"unknown algorithm", "?alg=zigzag", string(cycle), http.StatusBadRequest},
-		{"unknown engine", "?engine=quantum", string(cycle), http.StatusBadRequest},
-		{"removed concurrent engine", "?engine=concurrent", string(cycle), http.StatusBadRequest},
 		{"bad timeout", "?timeout=soon", string(cycle), http.StatusBadRequest},
 		{"negative timeout", "?timeout=-5s", string(cycle), http.StatusBadRequest},
-		{"bad shards", "?shards=many", string(cycle), http.StatusBadRequest},
 		{"alg incompatible with graph", "?alg=regularodd", string(cycle), http.StatusBadRequest},
 	}
 	for _, tc := range tests {
@@ -191,6 +177,69 @@ func TestServerBadRequests(t *testing.T) {
 			t.Errorf("status = %d, want 405", resp.StatusCode)
 		}
 	})
+}
+
+// TestServerIgnoresEngineAndShardParams pins that the shard count is
+// the server's decision: ?engine= and ?shards= are ignored like any
+// other unknown parameter, so they can neither change the answer nor
+// buy a goroutine per node. The graph is large enough (20k nodes, 80k
+// ports) for RunAuto to shard it on a multi-core host.
+func TestServerIgnoresEngineAndShardParams(t *testing.T) {
+	g, err := gen.RandomRegular(rand.New(rand.NewSource(7)), 20_000, 4)
+	if err != nil {
+		t.Fatalf("RandomRegular: %v", err)
+	}
+	body := graphBytes(t, g)
+	s := New(Config{CacheEntries: -1}) // every request runs the engine
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, want := postRun(t, ts.Client(), ts.URL, "", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain request: status %d (body %s)", resp.StatusCode, want)
+	}
+	for _, tc := range []struct{ name, query string }{
+		{"huge shards", "?shards=100000"},
+		{"sequential with huge shards", "?engine=sequential&shards=100000"},
+		{"unknown engine", "?engine=quantum"},
+		{"removed concurrent engine", "?engine=concurrent"},
+		{"bad shards", "?shards=many"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := numGoroutinesStable()
+			var peak atomic.Int64
+			stop, polled := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(polled)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+						peak.Store(n)
+					}
+					runtime.Gosched()
+				}
+			}()
+			resp, got := postRun(t, ts.Client(), ts.URL, tc.query, body)
+			close(stop)
+			<-polled
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, want 200 (body %s)", resp.StatusCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("body differs from the plain request:\n%s\nvs\n%s", got, want)
+			}
+			// The poller itself, one worker per CPU, and the HTTP
+			// plumbing's per-request goroutines.
+			const slack = 16
+			if limit := int64(start + runtime.GOMAXPROCS(0) + slack); peak.Load() > limit {
+				t.Errorf("goroutines peaked at %d during the run (start %d, limit %d)", peak.Load(), start, limit)
+			}
+		})
+	}
 }
 
 func TestServerOversized(t *testing.T) {
@@ -228,11 +277,11 @@ func gateServer(cfg Config) (*Server, chan struct{}, chan struct{}) {
 	s := New(cfg)
 	gate := make(chan struct{})
 	started := make(chan struct{}, 64)
-	s.runEngine = func(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+	s.runEngine = func(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
 		started <- struct{}{}
 		select {
 		case <-gate:
-			return defaultRunEngine(ctx, "sequential", 0, g, a)
+			return defaultRunEngine(ctx, g, a)
 		case <-ctx.Done():
 			// Produce the exact error a real engine would.
 			res, err := sim.RunSequential(g, a, sim.WithContext(ctx))

@@ -7,12 +7,17 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"eds/internal/gen"
+	"eds/internal/graph"
+	"eds/internal/sim"
 )
 
 // parseStream splits an NDJSON stream body into the summary line and
@@ -156,5 +161,92 @@ func TestStreamErrorsStayJSON(t *testing.T) {
 	}
 	if err := json.Unmarshal(out, &e); err != nil || e.Error == "" {
 		t.Errorf("error body %q is not the standard JSON error shape", out)
+	}
+}
+
+// TestStreamRunErrorParity pins that the buffered and the streaming
+// path share one run path: every run failure — scripted through the
+// runEngine seam — answers with the same status and the same JSON error
+// body whether the client asked for edges=1 or edges=1&stream=1.
+func TestStreamRunErrorParity(t *testing.T) {
+	// expired runs the real engine under a context that is already
+	// done, so the seam returns exactly the error a real run would.
+	expired := func(cancelCtx func(context.Context) (context.Context, context.CancelFunc)) func(context.Context, *graph.Graph, sim.Algorithm) (*sim.Result, sim.Timings, error) {
+		return func(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+			ctx, cancel := cancelCtx(ctx)
+			cancel()
+			res, err := sim.RunSequential(g, a, sim.WithContext(ctx))
+			return res, sim.Timings{}, err
+		}
+	}
+	cases := []struct {
+		name     string
+		run      func(context.Context, *graph.Graph, sim.Algorithm) (*sim.Result, sim.Timings, error)
+		fillPool bool // hold the only worker slot, with no queue behind it
+		want     int
+		wantMsg  string
+	}{
+		{
+			name: "deadline",
+			run: expired(func(ctx context.Context) (context.Context, context.CancelFunc) {
+				return context.WithDeadline(ctx, time.Now())
+			}),
+			want: http.StatusGatewayTimeout,
+		},
+		{
+			name: "client cancel",
+			run:  expired(context.WithCancel),
+			want: StatusClientClosedRequest,
+		},
+		{
+			name: "deterministic failure",
+			run: func(context.Context, *graph.Graph, sim.Algorithm) (*sim.Result, sim.Timings, error) {
+				return nil, sim.Timings{}, errors.New("deterministic failure for this graph")
+			},
+			want:    http.StatusInternalServerError,
+			wantMsg: "deterministic failure for this graph",
+		},
+		{
+			name:     "full queue",
+			fillPool: true,
+			want:     http.StatusTooManyRequests,
+		},
+	}
+	body := graphBytes(t, gen.Cycle(16))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: 1, QueueDepth: -1, CacheEntries: -1})
+			if tc.run != nil {
+				s.runEngine = tc.run
+			}
+			if tc.fillPool {
+				s.sem <- struct{}{}
+				defer func() { <-s.sem }()
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			var bodies [2][]byte
+			for i, query := range []string{"?edges=1", "?edges=1&stream=1"} {
+				resp, out := postRun(t, ts.Client(), ts.URL, query, body)
+				if resp.StatusCode != tc.want {
+					t.Errorf("%s: status = %d, want %d (body %s)", query, resp.StatusCode, tc.want, out)
+				}
+				if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+					t.Errorf("%s: Content-Type = %q, want application/json", query, ct)
+				}
+				var e errorResponse
+				if err := json.Unmarshal(out, &e); err != nil || e.Error == "" {
+					t.Errorf("%s: body %q is not a JSON error", query, out)
+				}
+				if tc.wantMsg != "" && e.Error != tc.wantMsg {
+					t.Errorf("%s: error = %q, want %q", query, e.Error, tc.wantMsg)
+				}
+				bodies[i] = out
+			}
+			if !bytes.Equal(bodies[0], bodies[1]) {
+				t.Errorf("buffered and streamed error bodies differ:\n%s\n%s", bodies[0], bodies[1])
+			}
+		})
 	}
 }

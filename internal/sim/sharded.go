@@ -7,24 +7,24 @@ import (
 )
 
 // AutoShardedPorts is the port count (sum of degrees ≈ nodes×degree)
-// at which engine auto-selection (eds.RunAuto, edsrun -engine auto, the
-// harness scaling studies) switches from the sequential reference to
-// the sharded engine. Ports, not nodes, measure the work the sharded
-// engine parallelizes — every phase (node construction, send, routing
-// gather, receive, output collection) is linear in ports — while its
-// overhead is per-round barriers and per-run worker spawns, which are
-// independent of graph size. An earlier node-count threshold (4096)
-// mis-ranked dense graphs small and sparse graphs large; with the
-// parallel prologue the port crossover sits in the low tens of
-// thousands on multi-core hardware.
+// at which RunAuto (eds.RunAuto, edsrun's default, edsd, the harness
+// scaling study) switches from one inline shard to one shard per CPU.
+// Ports, not nodes, measure the work the shards parallelize — every
+// phase (node construction, send, routing gather, receive, output
+// collection) is linear in ports — while the overhead is per-round
+// barriers and per-run worker spawns, which are independent of graph
+// size. An earlier node-count threshold (4096) mis-ranked dense graphs
+// small and sparse graphs large; with the parallel prologue the port
+// crossover sits in the low tens of thousands on multi-core hardware.
 const AutoShardedPorts = 16384
 
 // EngineChoice is RunAuto's policy as a pure function of the run's
 // setup volume (n nodes, ports = sum of degrees) and the available
-// parallelism: "sequential" when only one CPU is usable or the graph is
-// too small for the barrier overhead to pay off, "sharded" otherwise.
-// Exported so the decision boundary is pinned by a table-driven test
-// instead of re-implemented by callers.
+// parallelism: "sequential" (one inline shard) when only one CPU is
+// usable or the graph is too small for the barrier overhead to pay off,
+// "sharded" (one shard per CPU) otherwise. Exported so the decision
+// boundary is pinned by a table-driven test instead of re-implemented
+// by callers.
 func EngineChoice(n, ports, procs int) string {
 	if procs <= 1 || ports < AutoShardedPorts {
 		return "sequential"
@@ -32,28 +32,19 @@ func EngineChoice(n, ports, procs int) string {
 	return "sharded"
 }
 
-// RunAuto picks an engine by setup volume via EngineChoice — the
-// sequential reference for small graphs or single-CPU processes, the
-// sharded engine for large graphs on multi-core — and is the single
-// home of that policy for the facade, the CLI, the server, and the
-// harness studies. Every engine returns identical Results, so the
-// choice affects only wall-clock time; both engines honour
-// WithRoundHook and WithContext, so hooked or cancellable runs take the
-// same path as any other.
+// RunAuto picks the shard count by setup volume via EngineChoice — one
+// inline shard for small graphs or single-CPU processes, GOMAXPROCS
+// shards for large graphs on multi-core — and is the single home of
+// that policy for the facade, the CLI, the server, and the harness
+// studies. The shard count never changes the Result, only wall-clock
+// time, so it is the caller's process — never a remote client — that
+// decides it. Both paths honour WithRoundHook and WithContext, so
+// hooked or cancellable runs take the same path as any other.
 func RunAuto(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	if EngineChoice(g.N(), g.NumPorts(), runtime.GOMAXPROCS(0)) == "sharded" {
 		return RunSharded(g, a, opts...)
 	}
 	return RunSequential(g, a, opts...)
-}
-
-// Engines returns the named engine entry points, the single registry the
-// harness studies and tooling resolve engine names against.
-func Engines() map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error) {
-	return map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error){
-		"sequential": RunSequential,
-		"sharded":    RunSharded,
-	}
 }
 
 // WithShards sets the number of worker shards used by RunSharded. Values
