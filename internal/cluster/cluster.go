@@ -37,6 +37,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"time"
 )
@@ -168,10 +169,24 @@ func (c *Cluster) Size() int { return len(c.peers) + 1 }
 // owner (also true when every peer is down — ownership degrades to
 // local compute, never to an error).
 func (c *Cluster) Owner(digest []byte) (owner string, self bool) {
+	best := c.owner(digest, (*Peer).Ready)
+	return best, best == c.self
+}
+
+// OwnerAmongAll returns the owner of digest over the full configured
+// membership, ignoring health. This is the stable assignment that holds
+// while the whole fleet is up.
+func (c *Cluster) OwnerAmongAll(digest []byte) string {
+	return c.owner(digest, func(*Peer) bool { return true })
+}
+
+// owner is the rendezvous scan: the highest score among self and the
+// peers that eligible admits, ties broken by the larger URL.
+func (c *Cluster) owner(digest []byte, eligible func(*Peer) bool) string {
 	best := c.self
 	bestScore := rendezvousScore(c.self, digest)
 	for base, p := range c.peers {
-		if !p.Ready() {
+		if !eligible(p) {
 			continue
 		}
 		s := rendezvousScore(base, digest)
@@ -179,27 +194,8 @@ func (c *Cluster) Owner(digest []byte) (owner string, self bool) {
 			best, bestScore = base, s
 		}
 	}
-	return best, best == c.self
-}
-
-// ownerAmongAll is Owner over the full member set, health ignored. Tests
-// use it to find the stable owner of a digest.
-func (c *Cluster) ownerAmongAll(digest []byte) string {
-	best := c.self
-	bestScore := rendezvousScore(c.self, digest)
-	for base := range c.peers {
-		s := rendezvousScore(base, digest)
-		if s > bestScore || (s == bestScore && base > best) {
-			best, bestScore = base, s
-		}
-	}
 	return best
 }
-
-// OwnerAmongAll returns the owner of digest over the full configured
-// membership, ignoring health. This is the stable assignment that holds
-// while the whole fleet is up.
-func (c *Cluster) OwnerAmongAll(digest []byte) string { return c.ownerAmongAll(digest) }
 
 // ErrPeerUnavailable wraps fill failures that exhausted their retry
 // budget or hit an owner that is draining or overloaded; the caller
@@ -386,14 +382,6 @@ func (c *Cluster) Snapshot() []PeerStatus {
 	for _, p := range c.peers {
 		out = append(out, p.status())
 	}
-	sortStatuses(out)
+	slices.SortFunc(out, func(a, b PeerStatus) int { return strings.Compare(a.URL, b.URL) })
 	return out
-}
-
-func sortStatuses(s []PeerStatus) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].URL < s[j-1].URL; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"eds/internal/core"
+	"eds/internal/gen"
 	"eds/internal/graph"
 	"eds/internal/lowerbound"
 	"eds/internal/ratio"
@@ -94,23 +95,13 @@ func OddRegularRow(d int) (Table1Row, error) {
 // DeltaOneRow reproduces the Δ = 1 row: the trivial algorithm on a
 // perfect matching.
 func DeltaOneRow(edges int) (Table1Row, error) {
-	g := genPerfectMatching(edges)
+	g := gen.PerfectMatching(edges)
 	opt := graph.NewEdgeSet(g.M())
 	for i := 0; i < g.M(); i++ {
 		opt.Add(i)
 	}
 	alg := core.AllEdges{}
 	return runRow("max degree Δ", 1, g, opt, alg, alg.Rounds(1), ratio.FromInt(1))
-}
-
-// genPerfectMatching avoids importing gen here (it would be fine, but the
-// construction is two lines).
-func genPerfectMatching(k int) *graph.Graph {
-	edges := make([][2]int, 0, k)
-	for i := 0; i < k; i++ {
-		edges = append(edges, [2]int{2 * i, 2*i + 1})
-	}
-	return graph.MustFromUndirected(2*k, edges)
 }
 
 // BoundedDegreeRow reproduces the "max degree Δ" rows for Δ >= 2:

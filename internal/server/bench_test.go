@@ -1,5 +1,5 @@
-// Gated benchmarks for the request batcher: the flight-group
-// bookkeeping that every /v1/run crosses, and a whole batched run
+// Gated benchmarks for the request batcher: the results-table
+// bookkeeping that every /v1/run miss crosses, and a whole batched run
 // through the handler stack. Their allocs/op live in
 // BENCH_baseline.json and are enforced by cmd/edsbench in CI — the
 // batcher must not quietly start allocating per follower.
@@ -16,46 +16,45 @@ import (
 	"eds/internal/gen"
 )
 
-// BenchmarkFlightJoinFinish is the batcher's bookkeeping in isolation:
-// one leader and seven followers joining one flight, the leader
-// finishing, every follower reading the shared outcome. Joins are
-// serialized so the measurement is deterministic — the per-op
-// allocations are the flight struct, its done channel, and the map
-// slot, all independent of the batch size.
+// BenchmarkFlightJoinFinish is the batcher's bookkeeping in isolation,
+// on a table that retains nothing (CacheEntries: -1): one leader and
+// seven followers joining one pending entry, the leader publishing,
+// every follower reading the shared outcome. Joins are serialized so the
+// measurement is deterministic — the per-op allocations are the entry
+// and its done channel, both independent of the batch size.
 func BenchmarkFlightJoinFinish(b *testing.B) {
-	fg := newFlightGroup()
+	rt := newResultTable(-1)
 	const followers = 7
 	body := []byte(`{"ok":true}`)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, leader := fg.join("bench-key")
-		if !leader {
-			b.Fatal("stale flight left behind by a previous iteration")
+		e, r := rt.join("bench-key")
+		if r != leader {
+			b.Fatal("stale entry left behind by a previous iteration")
 		}
-		flights := make([]*flight, followers)
-		for j := range flights {
-			ff, lead := fg.join("bench-key")
-			if lead {
-				b.Fatal("follower became leader while the flight was live")
+		var joined [followers]*entry
+		for j := range joined {
+			ff, r := rt.join("bench-key")
+			if r != follower {
+				b.Fatal("join did not follow the pending entry")
 			}
-			flights[j] = ff
+			joined[j] = ff
 		}
-		fg.finish("bench-key", f, flightResult{code: http.StatusOK, body: body})
-		for _, ff := range flights {
+		if size := rt.publish(e, outcome{code: http.StatusOK, body: body}, "bench-raw"); size != followers+1 {
+			b.Fatalf("batch size = %d, want %d", size, followers+1)
+		}
+		for _, ff := range joined {
 			<-ff.done
 			if ff.res.code != http.StatusOK {
 				b.Fatal("follower read the wrong outcome")
 			}
 		}
-		if f.size.Load() != followers+1 {
-			b.Fatalf("batch size = %d, want %d", f.size.Load(), followers+1)
-		}
 	}
 }
 
 // BenchmarkBatchedRun pushes four identical concurrent requests through
-// the full handler stack — middleware, parse, flight window, one engine
+// the full handler stack — middleware, parse, batch window, one engine
 // run, response fan-out — with the cache disabled so every iteration
 // batches instead of replaying. allocs/op is the cost of one batched
 // engine run plus four served requests.

@@ -147,7 +147,7 @@ func (f *fleet) totalRuns(t *testing.T) int64 {
 	t.Helper()
 	var sum int64
 	for i := range f.servers {
-		sum += f.servers[i].st.snapshot().runs
+		sum += f.servers[i].st.snapshot().EngineTime.Runs
 	}
 	return sum
 }

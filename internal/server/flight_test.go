@@ -1,14 +1,16 @@
-// Singleflight suite: identical in-flight /v1/run requests must share
-// one engine run (and its worker slot), deterministic failures must be
-// shared with followers, and a leader whose outcome was private to its
-// own budget (cancellation, deadline) must not poison the followers —
-// they retry and take the lead themselves.
+// Coalescing suite, end to end: identical in-flight /v1/run requests
+// must share one engine run (and its worker slot), deterministic
+// failures must be shared with followers, and a leader whose outcome was
+// private to its own budget (cancellation, deadline) must not poison the
+// followers — they retry and take the lead themselves. The two cache
+// levels' probing order is pinned here too.
 //
 // Lives in package server for the same reason as server_test.go: the
 // tests reach the runEngine seam and the stats internals.
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -23,10 +25,10 @@ import (
 )
 
 // waitForMisses blocks until n requests have passed the cache probe
-// (each records exactly one miss before joining the flight group).
+// (each records exactly one miss before joining the results table).
 func waitForMisses(t *testing.T, s *Server, n int64) {
 	t.Helper()
-	waitFor(t, func() bool { return s.st.snapshot().misses >= n })
+	waitFor(t, func() bool { return s.st.snapshot().Cache.Misses >= n })
 }
 
 func TestServerCoalescing(t *testing.T) {
@@ -78,7 +80,7 @@ func TestServerCoalescing(t *testing.T) {
 	if extra := len(started); extra != 0 {
 		t.Errorf("%d extra engine runs started; duplicates must share the leader's run", extra)
 	}
-	coalescedStat := s.st.snapshot().coalesced
+	coalescedStat := s.st.snapshot().Cache.Coalesced
 	if coalescedStat != int64(followers) {
 		t.Errorf("statsz coalesced = %d, want %d", coalescedStat, followers)
 	}
@@ -186,4 +188,112 @@ func TestServerFollowerHonoursOwnDeadline(t *testing.T) {
 	}
 	close(gate) // release the leader so ts.Close does not wait out its deadline
 	<-done
+}
+
+// TestServerFollowerRetriesAfterLeaderCancel is the cancellation twin of
+// TestServerFollowerRetriesAfterLeaderTimeout: the leader's client hangs
+// up, its 499 outcome is private to it, and the follower retries the
+// flight as the new leader rather than inheriting the cancellation.
+func TestServerFollowerRetriesAfterLeaderCancel(t *testing.T) {
+	s, gate, started := gateServer(Config{Workers: 4, CacheEntries: -1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := graphBytes(t, gen.Cycle(16))
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderDone := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(leaderCtx, http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(body))
+		if err != nil {
+			leaderDone <- err
+			return
+		}
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		leaderDone <- err
+	}()
+	<-started // the leader holds the flight, its engine run is gated
+
+	var followerCode int
+	var followerCache string
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, _ := postRun(t, ts.Client(), ts.URL, "?timeout=30s", body)
+		followerCode = resp.StatusCode
+		followerCache = resp.Header.Get("X-Cache")
+	}()
+	waitForMisses(t, s, 2)
+	time.Sleep(20 * time.Millisecond) // let the follower park on the flight
+	cancelLeader()
+
+	// The follower must notice the leader's private outcome and start its
+	// own engine run.
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower never retried after the leader's cancellation")
+	}
+	close(gate)
+	wg.Wait()
+	if err := <-leaderDone; err == nil {
+		t.Error("leader request completed despite its context being canceled")
+	}
+	if followerCode != http.StatusOK {
+		t.Errorf("follower status = %d, want 200", followerCode)
+	}
+	if followerCache != "miss" {
+		t.Errorf("follower X-Cache = %q, want miss (it re-ran the engine itself)", followerCache)
+	}
+}
+
+// TestTwoLevelKeyProbing pins the probing order of the two cache levels:
+// a byte-identical replay is answered by the raw key without decoding,
+// a cosmetic variant falls through to the canonical key and backfills
+// its own raw key, and the backfill makes the next replay of the variant
+// a raw hit too. Entry counts are the witness — every state transition
+// has a distinct cache size.
+func TestTwoLevelKeyProbing(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := graphBytes(t, gen.Cycle(12))
+	variant := append([]byte("# cosmetic comment, same canonical graph\n"), body...)
+
+	post := func(b []byte) string {
+		t.Helper()
+		resp, out := postRun(t, ts.Client(), ts.URL, "?alg=auto", b)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d (body %s)", resp.StatusCode, out)
+		}
+		return resp.Header.Get("X-Cache")
+	}
+
+	if c := post(body); c != "miss" {
+		t.Fatalf("prime: X-Cache = %q, want miss", c)
+	}
+	if n := s.results.len(); n != 2 {
+		t.Fatalf("after the priming miss: %d entries, want 2 (raw + canonical)", n)
+	}
+	if c := post(body); c != "hit" {
+		t.Errorf("byte-identical replay: X-Cache = %q, want hit", c)
+	}
+	if n := s.results.len(); n != 2 {
+		t.Errorf("a raw-key hit must not add entries: %d, want 2", n)
+	}
+	if c := post(variant); c != "hit" {
+		t.Errorf("cosmetic variant: X-Cache = %q, want hit via the canonical key", c)
+	}
+	if n := s.results.len(); n != 3 {
+		t.Errorf("canonical hit must backfill the variant's raw key: %d entries, want 3", n)
+	}
+	if c := post(variant); c != "hit" {
+		t.Errorf("variant replay: X-Cache = %q, want hit", c)
+	}
+	if n := s.results.len(); n != 3 {
+		t.Errorf("variant replay must be a raw hit, not another backfill: %d entries, want 3", n)
+	}
 }

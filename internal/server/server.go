@@ -12,13 +12,15 @@
 //     deadline (client-chosen via ?timeout=, capped by the server); the
 //     engines poll it at round barriers (sim.WithContext), so a
 //     timed-out run stops computing and returns 504;
-//   - result cache: an LRU keyed by the canonical graph digest plus the
-//     resolved algorithm, so identical requests are served byte-for-byte
-//     identically without re-running the engine;
-//   - request batching: identical in-flight requests coalesce onto one
-//     engine run (singleflight), and an optional batch window delays the
-//     leader so identical requests arriving within the window join the
-//     same run instead of racing it;
+//   - one results table: keyed by the canonical graph digest plus the
+//     resolved algorithm, it holds each key's answer either pending (a
+//     leader is running it, and identical requests wait for that one
+//     engine run) or finished (an LRU of published bodies, served
+//     byte-for-byte without re-running the engine). The leader publishes
+//     in one step, so no request runs a key twice in between;
+//   - request batching: an optional batch window delays a pending
+//     entry's leader so identical requests arriving within the window
+//     join the same run instead of racing it;
 //   - cluster tier: with a cluster.Cluster configured, each graph digest
 //     is owned by exactly one replica (rendezvous hashing); non-owners
 //     fetch results over POST /internal/v1/fill instead of recomputing,
@@ -96,17 +98,18 @@ type Config struct {
 	// for (default 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// CacheEntries is the LRU result-cache capacity (default 256; < 0
-	// disables the cache).
+	// CacheEntries is how many finished results the LRU retains
+	// (default 256; < 0 retains none, while identical in-flight requests
+	// still coalesce).
 	CacheEntries int
 	// BatchWindow is how long the leader of a fresh cache miss waits
 	// before starting its engine run, so identical requests arriving
 	// within the window coalesce onto that one run instead of finding
 	// the cache still cold a moment apart. 0 (the default) disables the
 	// wait; duplicates arriving while a run is in flight still coalesce
-	// through the singleflight. With a cluster configured the window
-	// batches fleet-wide: every replica routes a digest's misses to the
-	// same owner, whose window collects them all.
+	// onto it. With a cluster configured the window batches fleet-wide:
+	// every replica routes a digest's misses to the same owner, whose
+	// window collects them all.
 	BatchWindow time.Duration
 	// Cluster, when non-nil, enables the multi-replica tier: graph
 	// digests are owned by exactly one replica, non-owners fill from the
@@ -160,8 +163,7 @@ type Server struct {
 	cfg     Config
 	sem     chan struct{} // worker slots
 	queue   chan struct{} // bounded wait queue
-	cache   *resultCache
-	flights *flightGroup
+	results *resultTable
 	st      *stats
 	mux     *http.ServeMux
 	root    http.Handler // mux wrapped in the request-ID/logging middleware
@@ -181,8 +183,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.Workers),
 		queue:     make(chan struct{}, cfg.QueueDepth),
-		cache:     newResultCache(cfg.CacheEntries),
-		flights:   newFlightGroup(),
+		results:   newResultTable(cfg.CacheEntries),
 		st:        newStats(),
 		draining:  make(chan struct{}),
 		runEngine: defaultRunEngine,
@@ -379,7 +380,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // for the result. The handler is deliberately the same code path as the
 // public endpoint minus routing: the same body cap, the same
 // graph.ReadGraphLimits, the same cache keys, the same admission queue
-// and flight group (so fills, local clients, and the batch window all
+// and results table (so fills, local clients, and the batch window all
 // coalesce onto one engine run). It never forwards: whatever this
 // replica believes about ownership, a fill is answered locally, which
 // makes routing loops impossible even when replicas' health views
@@ -427,9 +428,9 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 	// complete body ever exists to cache.
 	rawKey := cacheKey(sha256.Sum256(body), req.algSpec, req.includeEdges)
 	if !req.stream {
-		if cached, ok := s.cache.get(rawKey); ok {
+		if cached, ok := s.results.get(rawKey); ok {
 			s.st.recordCache(true)
-			s.serveCached(w, cached)
+			s.writeBody(w, http.StatusOK, "application/json", "hit", cached)
 			return
 		}
 	}
@@ -456,10 +457,10 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 	digest := graph.Digest(g)
 	key := cacheKey(digest, alg.Name(), req.includeEdges)
 	if !req.stream {
-		if cached, ok := s.cache.get(key); ok {
+		if cached, ok := s.results.get(key); ok {
 			s.st.recordCache(true)
-			s.cache.put(rawKey, cached)
-			s.serveCached(w, cached)
+			s.results.retain(cached, rawKey)
+			s.writeBody(w, http.StatusOK, "application/json", "hit", cached)
 			return
 		}
 		s.st.recordCache(false)
@@ -492,12 +493,14 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 	s.serveLocal(ctx, w, req, g, alg, bound, key, rawKey)
 }
 
-// serveCached writes a cache hit.
-func (s *Server) serveCached(w http.ResponseWriter, cached []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "hit")
-	w.Write(cached)
-	s.st.recordStatus(http.StatusOK)
+// writeBody writes a buffered answer — a hit, a coalesced or miss run,
+// or a relayed fill — with its X-Cache outcome, and records its status.
+func (s *Server) writeBody(w http.ResponseWriter, code int, contentType, cache string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("X-Cache", cache)
+	w.WriteHeader(code)
+	w.Write(body)
+	s.st.recordStatus(code)
 }
 
 // forwardFill asks the owner replica for this request's result and
@@ -524,56 +527,39 @@ func (s *Server) forwardFill(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	s.st.recordFillRelayed(owner)
 	if resp.StatusCode == http.StatusOK {
-		// The owner's answer becomes a local cache entry under both
+		// The owner's answer becomes a local finished entry under both
 		// keys, so this replica serves every repeat itself — the
 		// groupcache property: one compute, N caches.
-		s.cache.put(key, respBody)
-		s.cache.put(rawKey, respBody)
+		s.results.retain(respBody, key, rawKey)
 	}
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.Header().Set("X-Cache", "fill")
 	w.Header().Set("X-Eds-Owner", owner)
 	if oc := resp.Header.Get("X-Cache"); oc != "" {
 		w.Header().Set("X-Fill-Cache", oc)
 	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(respBody)
-	s.st.recordStatus(resp.StatusCode)
+	s.writeBody(w, resp.StatusCode, resp.Header.Get("Content-Type"), "fill", respBody)
 	return true
 }
 
-// serveLocal runs the request on this replica, coalescing identical
-// requests through the flight group.
-//
-// Singleflight on the cache key: the first request for this exact
-// graph/algorithm/shape leads and runs the engine; duplicates that
-// arrive while it is in flight wait for its outcome instead of
-// occupying worker slots of their own. Followers whose leader ended
-// privately (canceled, timed out, not admitted) loop and take the
-// lead themselves.
+// serveLocal runs the request on this replica through the results
+// table: the first request for this exact graph/algorithm/shape leads and
+// runs the engine; duplicates that arrive while it is pending wait for
+// its outcome instead of occupying worker slots of their own, and a
+// request that joins after the leader published is served the finished
+// body. Followers whose leader ended privately (canceled, timed out, not
+// admitted) loop and take the lead themselves.
 func (s *Server) serveLocal(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, key, rawKey string) {
 	for {
-		f, leader := s.flights.join(key)
-		if leader {
-			s.leadRun(ctx, w, req, g, alg, bound, key, rawKey, f)
+		e, r := s.results.join(key)
+		switch r {
+		case leader:
+			s.leadRun(ctx, w, req, g, alg, bound, rawKey, e)
+			return
+		case finished:
+			s.writeBody(w, http.StatusOK, "application/json", "hit", e.res.body)
 			return
 		}
 		select {
-		case <-f.done:
-			res := f.res
-			if res.code == 0 {
-				continue
-			}
-			s.st.recordCoalesced()
-			if res.code == http.StatusOK {
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set("X-Cache", "coalesced")
-				w.Write(res.body)
-				s.st.recordStatus(http.StatusOK)
-				return
-			}
-			s.writeError(w, res.code, "%s", res.msg)
-			return
+		case <-e.done:
 		case <-ctx.Done():
 			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
 				s.writeError(w, http.StatusGatewayTimeout, "request timed out waiting for an identical in-flight run")
@@ -582,20 +568,30 @@ func (s *Server) serveLocal(ctx context.Context, w http.ResponseWriter, req runR
 			s.writeError(w, StatusClientClosedRequest, "client canceled while waiting for an identical in-flight run")
 			return
 		}
+		if e.res.code == 0 {
+			continue
+		}
+		s.st.recordCoalesced()
+		if e.res.code == http.StatusOK {
+			s.writeBody(w, http.StatusOK, "application/json", "coalesced", e.res.body)
+			return
+		}
+		s.writeError(w, e.res.code, "%s", e.res.msg)
+		return
 	}
 }
 
-// leadRun executes a run as the flight leader: it owes the flight
-// exactly one finish on every exit path. Outcomes that depend only on
+// leadRun executes a run as the leader of the pending entry e: it owes
+// exactly one publish on every exit path. Outcomes that depend only on
 // the graph and algorithm (success, round limit, invalid output) are
 // published for the followers; outcomes private to this request's
 // budget (deadline, client gone, admission failure) publish a retry
 // marker instead.
-func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, key, rawKey string, f *flight) {
+func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, rawKey string, e *entry) {
 	// The batch window: a fresh leader waits briefly before running, so
 	// identical requests that are about to arrive — from local clients
 	// or, via owner routing, from every replica in the fleet — join this
-	// flight instead of finding a cold cache a moment apart. The wait
+	// entry instead of finding a cold cache a moment apart. The wait
 	// spends the leader's own deadline budget; expiry is a private
 	// outcome, so waiting followers retry with their own budgets.
 	if s.cfg.BatchWindow > 0 {
@@ -604,7 +600,7 @@ func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequ
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			s.flights.finish(key, f, flightResult{})
+			s.results.publish(e, outcome{}, rawKey)
 			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
 				s.writeError(w, http.StatusGatewayTimeout, "request timed out in the batch window")
 				return
@@ -619,17 +615,10 @@ func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequ
 		if err != nil {
 			return err
 		}
-		s.cache.put(key, respBody)
-		s.cache.put(rawKey, respBody)
-		s.flights.finish(key, f, flightResult{code: http.StatusOK, body: respBody})
-		// The flight is closed to joiners once finish removed the key, so
-		// its size — leader plus every coalesced follower and fill — is
-		// now stable: that is this run's batch yield.
-		s.st.recordBatch(f.size.Load())
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "miss")
-		w.Write(respBody)
-		s.st.recordStatus(http.StatusOK)
+		// Once published, the entry's size — leader plus every coalesced
+		// follower and fill — is final: that is this run's batch yield.
+		s.st.recordBatch(s.results.publish(e, outcome{code: http.StatusOK, body: respBody}, rawKey))
+		s.writeBody(w, http.StatusOK, "application/json", "miss", respBody)
 		return nil
 	})
 	if code == 0 {
@@ -638,11 +627,11 @@ func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequ
 	// Only a failure that is deterministic for this graph and algorithm
 	// is shared; the rest were private to this request's budget, so the
 	// followers retry with their own.
-	var shared flightResult
+	var shared outcome
 	if code == http.StatusInternalServerError {
-		shared = flightResult{code: code, msg: msg}
+		shared = outcome{code: code, msg: msg}
 	}
-	s.flights.finish(key, f, shared)
+	s.results.publish(e, shared, rawKey)
 }
 
 // execute is the one run path behind leadRun and streamRun. It admits
@@ -817,45 +806,25 @@ type peerStatszView struct {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	var resp statszResponse
-	snap := s.st.snapshot()
-	resp.Requests.Total = snap.requests
-	resp.Requests.ByStatus = snap.byStatus
-	resp.Cache.Hits = snap.hits
-	resp.Cache.Misses = snap.misses
-	resp.Cache.Coalesced = snap.coalesced
-	if snap.hits+snap.misses > 0 {
-		resp.Cache.HitRate = float64(snap.hits) / float64(snap.hits+snap.misses)
-	}
-	resp.Cache.Size = s.cache.len()
+	resp := s.st.snapshot()
+	resp.Cache.Size = s.results.len()
 	resp.Queue.Workers = s.cfg.Workers
 	resp.Queue.InFlight = len(s.sem)
 	resp.Queue.Depth = len(s.queue)
 	resp.Queue.Capacity = s.cfg.QueueDepth
-	resp.LatencyMs = snap.perAlg
-	resp.EngineTime.Runs = snap.runs
-	resp.EngineTime.SetupMs = float64(snap.phases.Setup) / float64(time.Millisecond)
-	resp.EngineTime.RoundsMs = float64(snap.phases.Rounds) / float64(time.Millisecond)
-	resp.EngineTime.OutputsMs = float64(snap.phases.Outputs) / float64(time.Millisecond)
 	resp.Batch.WindowMs = float64(s.cfg.BatchWindow) / float64(time.Millisecond)
-	resp.Batch.Sizes = snap.batchSizes
-	resp.Stream.Responses = snap.streamResponses
-	resp.Stream.Bytes = snap.streamBytes
-	resp.Stream.Sizes = snap.streamSizes
 	if c := s.cfg.Cluster; c != nil {
-		cs := &clusterStatsz{Self: c.Self(), Peers: map[string]peerStatszView{}}
+		// Counters can exist for URLs the cluster no longer reports (e.g.
+		// a fill served for a peer before its first probe); they stay
+		// visible as not ready.
+		resp.Cluster.Self = c.Self()
 		for _, ps := range c.Snapshot() {
-			cs.Peers[ps.URL] = peerStatszView{Ready: ps.Ready, LastErr: ps.LastErr, peerCounters: snap.peers[ps.URL]}
+			v := resp.Cluster.Peers[ps.URL]
+			v.Ready, v.LastErr = ps.Ready, ps.LastErr
+			resp.Cluster.Peers[ps.URL] = v
 		}
-		// Counters can exist for URLs the cluster no longer reports
-		// (e.g. a fill served for a peer before its first probe); keep
-		// them visible.
-		for base, pc := range snap.peers {
-			if _, ok := cs.Peers[base]; !ok {
-				cs.Peers[base] = peerStatszView{Ready: false, peerCounters: pc}
-			}
-		}
-		resp.Cluster = cs
+	} else {
+		resp.Cluster = nil
 	}
 	resp.Draining = s.isDraining()
 	w.Header().Set("Content-Type", "application/json")

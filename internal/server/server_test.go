@@ -519,28 +519,6 @@ func TestServerPprofGating(t *testing.T) {
 	})
 }
 
-func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a evicted too early")
-	}
-	c.put("c", []byte("C")) // evicts b (a was just used)
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if v, ok := c.get("a"); !ok || string(v) != "A" {
-		t.Error("a lost")
-	}
-	if v, ok := c.get("c"); !ok || string(v) != "C" {
-		t.Error("c lost")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
-	}
-}
-
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

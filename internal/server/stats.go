@@ -147,8 +147,8 @@ func (s *stats) recordCache(hit bool) {
 	s.mu.Unlock()
 }
 
-// recordCoalesced counts a follower served from an identical in-flight
-// run's shared outcome (the singleflight path).
+// recordCoalesced counts a follower served the shared outcome of an
+// identical in-flight run.
 func (s *stats) recordCoalesced() {
 	s.mu.Lock()
 	s.coalesced++
@@ -225,48 +225,39 @@ func (s *stats) recordLatency(alg string, d time.Duration) {
 	s.mu.Unlock()
 }
 
-// statsSnapshot is a consistent copy of every counter stats owns.
-type statsSnapshot struct {
-	requests        int64
-	byStatus        map[string]int64
-	hits, misses    int64
-	coalesced       int64
-	perAlg          map[string]histogramSnapshot
-	phases          sim.Timings
-	runs            int64
-	batchSizes      histogramSnapshot
-	streamResponses int64
-	streamBytes     int64
-	streamSizes     histogramSnapshot
-	peers           map[string]peerCounters
-}
-
-func (s *stats) snapshot() statsSnapshot {
+// snapshot fills the /statsz fields stats owns from one consistent
+// copy of its counters. Cluster carries only the per-peer counters;
+// handleStatsz adds the fleet view, or drops it without a cluster.
+func (s *stats) snapshot() statszResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := statsSnapshot{
-		requests:        s.requests,
-		byStatus:        make(map[string]int64, len(s.byStatus)),
-		hits:            s.cacheHits,
-		misses:          s.cacheMisses,
-		coalesced:       s.coalesced,
-		perAlg:          make(map[string]histogramSnapshot, len(s.perAlg)),
-		phases:          s.phases,
-		runs:            s.runs,
-		batchSizes:      s.batchSizes.snapshot(),
-		streamResponses: s.streamResponses,
-		streamBytes:     s.streamBytes,
-		streamSizes:     s.streamSizes.snapshot(),
-		peers:           make(map[string]peerCounters, len(s.peers)),
-	}
+	var resp statszResponse
+	resp.Requests.Total = s.requests
+	resp.Requests.ByStatus = make(map[string]int64, len(s.byStatus))
 	for code, c := range s.byStatus {
-		snap.byStatus[fmt.Sprintf("%d", code)] = c
+		resp.Requests.ByStatus[fmt.Sprintf("%d", code)] = c
 	}
+	resp.Cache.Hits = s.cacheHits
+	resp.Cache.Misses = s.cacheMisses
+	if s.cacheHits+s.cacheMisses > 0 {
+		resp.Cache.HitRate = float64(s.cacheHits) / float64(s.cacheHits+s.cacheMisses)
+	}
+	resp.Cache.Coalesced = s.coalesced
+	resp.LatencyMs = make(map[string]histogramSnapshot, len(s.perAlg))
 	for alg, h := range s.perAlg {
-		snap.perAlg[alg] = h.snapshot()
+		resp.LatencyMs[alg] = h.snapshot()
 	}
+	resp.EngineTime.Runs = s.runs
+	resp.EngineTime.SetupMs = float64(s.phases.Setup) / float64(time.Millisecond)
+	resp.EngineTime.RoundsMs = float64(s.phases.Rounds) / float64(time.Millisecond)
+	resp.EngineTime.OutputsMs = float64(s.phases.Outputs) / float64(time.Millisecond)
+	resp.Batch.Sizes = s.batchSizes.snapshot()
+	resp.Stream.Responses = s.streamResponses
+	resp.Stream.Bytes = s.streamBytes
+	resp.Stream.Sizes = s.streamSizes.snapshot()
+	resp.Cluster = &clusterStatsz{Peers: make(map[string]peerStatszView, len(s.peers))}
 	for base, p := range s.peers {
-		snap.peers[base] = *p
+		resp.Cluster.Peers[base] = peerStatszView{peerCounters: *p}
 	}
-	return snap
+	return resp
 }

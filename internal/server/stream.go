@@ -25,11 +25,11 @@ const streamChunkBytes = 64 << 10
 // buffered JSON path would build the whole [][2]int and its marshalled
 // body in memory first.
 //
-// Streams bypass the result cache and the flight group — their point is
-// that the complete body never exists, so there is nothing to cache or
-// share — and they are always served by the replica the client asked
-// (owner routing buys nothing without a cacheable body). The run still
-// goes through the admission queue like any other.
+// Streams bypass the results table — their point is that the complete
+// body never exists, so there is nothing to cache or share — and they
+// are always served by the replica the client asked (owner routing buys
+// nothing without a cacheable body). The run still goes through the
+// admission queue like any other.
 func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R) {
 	s.execute(ctx, w, req, g, alg, func(res *sim.Result) error {
 		summary, d, err := summarize(g, alg.Name(), bound, res)

@@ -96,11 +96,11 @@ func TestStreamNDJSONMatchesBufferedResponse(t *testing.T) {
 	// Accounting: one stream response, body-length bytes, in the size
 	// histogram and on /statsz.
 	snap := s.st.snapshot()
-	if snap.streamResponses != 1 {
-		t.Errorf("stream responses = %d, want 1", snap.streamResponses)
+	if snap.Stream.Responses != 1 {
+		t.Errorf("stream responses = %d, want 1", snap.Stream.Responses)
 	}
-	if snap.streamBytes != int64(len(streamBody)) {
-		t.Errorf("stream bytes = %d, body was %d", snap.streamBytes, len(streamBody))
+	if snap.Stream.Bytes != int64(len(streamBody)) {
+		t.Errorf("stream bytes = %d, body was %d", snap.Stream.Bytes, len(streamBody))
 	}
 }
 
