@@ -66,7 +66,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission queue depth beyond the workers")
-	cache := flag.Int("cache", 256, "result cache entries (negative disables)")
+	cache := flag.Int("cache", 256, "answers the result cache retains; raw-body aliases do not count (negative disables)")
 	maxBody := flag.Int64("max-body", 32<<20, "request body cap in bytes")
 	maxNodes := flag.Int("max-nodes", graph.DefaultLimits.MaxNodes, "decoded graph node cap")
 	maxPorts := flag.Int("max-ports", graph.DefaultLimits.MaxPorts, "decoded graph port cap")

@@ -29,19 +29,19 @@ func BenchmarkFlightJoinFinish(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, r := rt.join("bench-key")
+		e, r := rt.join("bench-key", "bench-raw")
 		if r != leader {
 			b.Fatal("stale entry left behind by a previous iteration")
 		}
 		var joined [followers]*entry
 		for j := range joined {
-			ff, r := rt.join("bench-key")
+			ff, r := rt.join("bench-key", "bench-raw")
 			if r != follower {
 				b.Fatal("join did not follow the pending entry")
 			}
 			joined[j] = ff
 		}
-		if size := rt.publish(e, outcome{code: http.StatusOK, body: body}, "bench-raw"); size != followers+1 {
+		if size := rt.publish(e, outcome{code: http.StatusOK, body: body}); size != followers+1 {
 			b.Fatalf("batch size = %d, want %d", size, followers+1)
 		}
 		for _, ff := range joined {

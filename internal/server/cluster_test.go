@@ -25,6 +25,7 @@ import (
 	"eds/internal/cluster"
 	"eds/internal/gen"
 	"eds/internal/graph"
+	"eds/internal/sim"
 )
 
 // switchHandler lets an httptest.Server exist before the Server that
@@ -372,6 +373,141 @@ func TestClusterFleetWideBatching(t *testing.T) {
 	}
 	if st.Batch.Sizes.Max < 2 {
 		t.Errorf("owner batch size = %d, want >= 2 (the window must have coalesced concurrent requests)", st.Batch.Sizes.Max)
+	}
+}
+
+// TestClusterNonOwnerCoalescesFill fires identical concurrent requests
+// at one non-owner while the owner's engine run is held: the first
+// becomes the leader of the non-owner's entry and sends the one fill,
+// the rest wait on that entry and are served its outcome. One fill, one
+// engine run fleet-wide, and byte-identical answers.
+func TestClusterNonOwnerCoalescesFill(t *testing.T) {
+	f := startFleet(t, 3, nil)
+	g := f.graphOwnedBy(t, 0)
+	body := graphBytes(t, g)
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	f.servers[0].runEngine = func(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+		started <- struct{}{}
+		<-gate
+		return defaultRunEngine(ctx, g, a)
+	}
+
+	const n = 6
+	type answer struct {
+		code  int
+		cache string
+		body  []byte
+	}
+	answers := make(chan answer, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, out := postRun(t, f.ts[1].Client(), f.urls[1], "?alg=auto", body)
+			answers <- answer{resp.StatusCode, resp.Header.Get("X-Cache"), out}
+		}()
+	}
+	<-started // the leader's fill reached the owner's engine
+	waitForMisses(t, f.servers[1], n)
+	close(gate)
+
+	count := map[string]int{}
+	var first []byte
+	for i := 0; i < n; i++ {
+		a := <-answers
+		if a.code != http.StatusOK {
+			t.Fatalf("status %d (body %s)", a.code, a.body)
+		}
+		count[a.cache]++
+		if first == nil {
+			first = a.body
+		} else if !bytes.Equal(a.body, first) {
+			t.Errorf("answers differ:\n%s\nvs\n%s", a.body, first)
+		}
+	}
+	if count["fill"] != 1 || count["coalesced"] != n-1 {
+		t.Errorf("X-Cache outcomes = %v, want one fill and %d coalesced", count, n-1)
+	}
+	if oc := f.statsz(t, 1).Cluster.Peers[f.urls[0]]; oc.FillsSent != 1 || oc.FillsRelayed != 1 || oc.Fallbacks != 0 {
+		t.Errorf("non-owner counters to owner = %+v, want sent=1 relayed=1 fallbacks=0", oc)
+	}
+	if runs := f.totalRuns(t); runs != 1 {
+		t.Errorf("fleet-wide engine runs = %d, want 1", runs)
+	}
+}
+
+// TestClusterOversizedFillFallsBack points a replica at a stub owner
+// whose fill answers 200 with a body one byte over the bound for the
+// graph. The replica must not relay or retain it: it computes the answer
+// itself, counts a fallback, and serves repeats from its own run.
+func TestClusterOversizedFillFallsBack(t *testing.T) {
+	var stubFills atomic.Int64
+	var stubBody atomic.Pointer[[]byte]
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/internal/v1/fill" {
+			w.Write([]byte("ok\n"))
+			return
+		}
+		stubFills.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Cache", "hit")
+		w.Write(*stubBody.Load())
+	}))
+	defer stub.Close()
+	sw := &switchHandler{}
+	ts := httptest.NewServer(sw)
+	defer ts.Close()
+	cl, err := cluster.New(cluster.Config{
+		Self:           ts.URL,
+		Peers:          []string{ts.URL, stub.URL},
+		HealthInterval: 25 * time.Millisecond,
+		Backoff:        time.Millisecond,
+		MaxRetries:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 4, Cluster: cl})
+	h := s.Handler()
+	sw.h.Store(&h)
+	cl.Start()
+	defer cl.Stop()
+
+	var g *graph.Graph
+	for k := 8; g == nil && k < 200; k++ {
+		d := graph.Digest(gen.Cycle(k))
+		if cl.OwnerAmongAll(d[:]) == stub.URL {
+			g = gen.Cycle(k)
+		}
+	}
+	if g == nil {
+		t.Fatal("no cycle graph owned by the stub in 192 tries")
+	}
+	body := graphBytes(t, g)
+	oversized := bytes.Repeat([]byte("x"), int(fillLimit(g))+1)
+	stubBody.Store(&oversized)
+
+	oracle := httptest.NewServer(New(Config{}).Handler())
+	defer oracle.Close()
+	_, want := postRun(t, oracle.Client(), oracle.URL, "?alg=auto&edges=1", body)
+
+	resp, got := postRun(t, ts.Client(), ts.URL, "?alg=auto&edges=1", body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("status %d, X-Cache %q; want a local 200 miss (body %.80s)", resp.StatusCode, resp.Header.Get("X-Cache"), got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("fallback answer differs from the local oracle:\n%s\nvs\n%s", got, want)
+	}
+	if n := stubFills.Load(); n != 1 {
+		t.Errorf("stub owner saw %d fills, want 1", n)
+	}
+	st := s.st.snapshot()
+	if oc := st.Cluster.Peers[stub.URL]; oc.FillsSent != 1 || oc.Fallbacks != 1 || oc.FillsRelayed != 0 {
+		t.Errorf("counters to the stub owner = %+v, want sent=1 fallbacks=1 relayed=0", oc)
+	}
+
+	resp, got = postRun(t, ts.Client(), ts.URL, "?alg=auto&edges=1", body)
+	if c := resp.Header.Get("X-Cache"); c != "hit" || !bytes.Equal(got, want) {
+		t.Errorf("repeat: X-Cache %q, body %.80s; want a local hit on the local run's body", c, got)
 	}
 }
 

@@ -13,18 +13,17 @@
 //     engines poll it at round barriers (sim.WithContext), so a
 //     timed-out run stops computing and returns 504;
 //   - one results table: keyed by the canonical graph digest plus the
-//     resolved algorithm, it holds each key's answer either pending (a
-//     leader is running it, and identical requests wait for that one
-//     engine run) or finished (an LRU of published bodies, served
-//     byte-for-byte without re-running the engine). The leader publishes
-//     in one step, so no request runs a key twice in between;
+//     resolved algorithm, it holds each answer in one entry, pending
+//     (identical requests wait for its leader's one run or fill) or
+//     finished (an LRU of bodies served byte-for-byte; raw-body keys are
+//     aliases that take no slot). No request runs a key twice;
 //   - request batching: an optional batch window delays a pending
 //     entry's leader so identical requests arriving within the window
 //     join the same run instead of racing it;
 //   - cluster tier: with a cluster.Cluster configured, each graph digest
-//     is owned by exactly one replica (rendezvous hashing); non-owners
-//     fetch results over POST /internal/v1/fill instead of recomputing,
-//     and degrade to local compute when the owner is unreachable;
+//     is owned by exactly one replica (rendezvous hashing); a non-owner
+//     fills from the owner over POST /internal/v1/fill, once per digest,
+//     and degrades to local compute when the owner is unreachable;
 //   - streaming: ?edges=1&stream=1 answers in chunked NDJSON (a summary
 //     line followed by one line per edge), so a million-edge dominating
 //     set never materialises as one JSON body in memory;
@@ -64,6 +63,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"time"
 
 	"eds/internal/cluster"
@@ -98,9 +98,9 @@ type Config struct {
 	// for (default 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// CacheEntries is how many finished results the LRU retains
-	// (default 256; < 0 retains none, while identical in-flight requests
-	// still coalesce).
+	// CacheEntries is how many answers the LRU retains; raw-body aliases
+	// do not count (default 256; < 0 retains none, while identical
+	// in-flight requests still coalesce).
 	CacheEntries int
 	// BatchWindow is how long the leader of a fresh cache miss waits
 	// before starting its engine run, so identical requests arriving
@@ -316,13 +316,13 @@ func (s *Server) parseRunRequest(r *http.Request) (runRequest, error) {
 	return req, nil
 }
 
-// The result cache is probed at two levels:
+// The results table is keyed at two levels:
 //
 //	raw key       — sha256 of the request body bytes plus the literal
-//	                ?alg= spec and response shape. Probed before any
-//	                decoding, so a byte-identical replay is served with a
-//	                bounded allocation cost independent of graph size
-//	                (the alloc regression test pins the budget).
+//	                ?alg= spec and response shape, an alias of the entry.
+//	                Probed before any decoding, so a byte-identical replay
+//	                is served at an allocation cost independent of graph
+//	                size (the alloc regression test pins the budget).
 //	canonical key — graph.Digest of the decoded graph's flat structure
 //	                plus the resolved algorithm name. Two wire forms of
 //	                the same graph (comments, whitespace, reordered conn
@@ -450,21 +450,10 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 		return
 	}
 
-	// Second-level probe on the canonical structure: a different wire
-	// form (or a different spec resolving to the same algorithm) of an
-	// already-served graph hits here; the raw key is backfilled so the
-	// next byte-identical replay takes the cheap path.
+	// The canonical key names the answer; joining it records rawKey as
+	// an alias, so a replay of these exact bytes hits at the first level.
 	digest := graph.Digest(g)
 	key := cacheKey(digest, alg.Name(), req.includeEdges)
-	if !req.stream {
-		if cached, ok := s.results.get(key); ok {
-			s.st.recordCache(true)
-			s.results.retain(cached, rawKey)
-			s.writeBody(w, http.StatusOK, "application/json", "hit", cached)
-			return
-		}
-		s.st.recordCache(false)
-	}
 
 	// The deadline starts before admission: time spent waiting for a
 	// worker, for the batch window, for an identical in-flight run, or
@@ -478,19 +467,19 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 		return
 	}
 
-	// Cluster routing: a cache miss for a digest owned elsewhere is
-	// filled from the owner instead of recomputed. Fills themselves
-	// never re-forward, and any failure degrades to local compute.
-	if s.cfg.Cluster != nil && !isFill {
-		if owner, self := s.cfg.Cluster.Owner(digest[:]); !self {
-			if s.forwardFill(ctx, w, r, owner, body, key, rawKey) {
-				return
+	// A leader fills from the digest's owner if that is another replica
+	// (fills never re-forward), and otherwise or on failure runs locally.
+	s.serveEntry(ctx, w, key, rawKey, func(e *entry) {
+		if s.cfg.Cluster != nil && !isFill {
+			if owner, self := s.cfg.Cluster.Owner(digest[:]); !self {
+				if s.forwardFill(ctx, w, r, owner, body, fillLimit(g), e) {
+					return
+				}
+				s.st.recordFallback(owner)
 			}
-			s.st.recordFallback(owner)
 		}
-	}
-
-	s.serveLocal(ctx, w, req, g, alg, bound, key, rawKey)
+		s.leadRun(ctx, w, req, g, alg, bound, e)
+	})
 }
 
 // writeBody writes a buffered answer — a hit, a coalesced or miss run,
@@ -503,12 +492,33 @@ func (s *Server) writeBody(w http.ResponseWriter, code int, contentType, cache s
 	s.st.recordStatus(code)
 }
 
-// forwardFill asks the owner replica for this request's result and
-// relays the answer. It reports whether the response was written; false
-// means the owner was unavailable and the caller must compute locally.
-func (s *Server) forwardFill(ctx context.Context, w http.ResponseWriter, r *http.Request, owner string, body []byte, key, rawKey string) bool {
+// fillLimit bounds the owner's answer for g: a summary allowance plus
+// every edge of g as a pair at the widest node id. A larger fill body
+// cannot be g's answer.
+func fillLimit(g *graph.Graph) int64 {
+	width := int64(len(strconv.Itoa(g.N())))
+	return 4<<10 + int64(g.M())*(2*width+4) // [u,v],
+}
+
+// forwardFill resolves the pending entry e from the owner replica and
+// relays its answer. A 200 is published and retained, so this replica
+// serves every repeat itself (one compute, N caches); any other status
+// is published privately, so followers retry. It returns false, still
+// owing e's publish, when the owner was unavailable or its body
+// unreadable or over limit bytes.
+func (s *Server) forwardFill(ctx context.Context, w http.ResponseWriter, r *http.Request, owner string, body []byte, limit int64, e *entry) bool {
 	s.st.recordFillSent(owner)
 	resp, err := s.cfg.Cluster.Fill(ctx, owner, requestIDFrom(r.Context()), r.URL.RawQuery, body)
+	var respBody []byte
+	if err == nil {
+		defer resp.Body.Close()
+		respBody, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		if err == nil && int64(len(respBody)) > limit {
+			err = fmt.Errorf("fill body exceeds %d bytes", limit)
+		} else if err != nil {
+			err = fmt.Errorf("reading fill body: %w", err)
+		}
+	}
 	if err != nil {
 		s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "fill fallback",
 			slog.String("id", requestIDFrom(r.Context())),
@@ -516,22 +526,12 @@ func (s *Server) forwardFill(ctx context.Context, w http.ResponseWriter, r *http
 			slog.String("cause", err.Error()))
 		return false
 	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "fill fallback",
-			slog.String("id", requestIDFrom(r.Context())),
-			slog.String("owner", owner),
-			slog.String("cause", "reading fill body: "+err.Error()))
-		return false
-	}
 	s.st.recordFillRelayed(owner)
+	var res outcome
 	if resp.StatusCode == http.StatusOK {
-		// The owner's answer becomes a local finished entry under both
-		// keys, so this replica serves every repeat itself — the
-		// groupcache property: one compute, N caches.
-		s.results.retain(respBody, key, rawKey)
+		res = outcome{code: http.StatusOK, body: respBody}
 	}
+	s.results.publish(e, res)
 	w.Header().Set("X-Eds-Owner", owner)
 	if oc := resp.Header.Get("X-Cache"); oc != "" {
 		w.Header().Set("X-Fill-Cache", oc)
@@ -540,19 +540,21 @@ func (s *Server) forwardFill(ctx context.Context, w http.ResponseWriter, r *http
 	return true
 }
 
-// serveLocal runs the request on this replica through the results
-// table: the first request for this exact graph/algorithm/shape leads and
-// runs the engine; duplicates that arrive while it is pending wait for
-// its outcome instead of occupying worker slots of their own, and a
-// request that joins after the leader published is served the finished
-// body. Followers whose leader ended privately (canceled, timed out, not
-// admitted) loop and take the lead themselves.
-func (s *Server) serveLocal(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, key, rawKey string) {
-	for {
-		e, r := s.results.join(key)
+// serveEntry serves a buffered request through the results table. It
+// joins key with rawKey as an alias: a finished entry is a hit, a pending
+// one is waited on and its outcome shared (coalesced), and a missing one
+// makes the request the leader, whom lead resolves. Followers whose
+// leader ended privately (canceled, timed out, not admitted, non-200
+// fill) join again, taking the lead themselves if nobody else has.
+func (s *Server) serveEntry(ctx context.Context, w http.ResponseWriter, key, rawKey string, lead func(*entry)) {
+	for first := true; ; first = false {
+		e, r := s.results.join(key, rawKey)
+		if first {
+			s.st.recordCache(r == finished)
+		}
 		switch r {
 		case leader:
-			s.leadRun(ctx, w, req, g, alg, bound, rawKey, e)
+			lead(e)
 			return
 		case finished:
 			s.writeBody(w, http.StatusOK, "application/json", "hit", e.res.body)
@@ -587,7 +589,7 @@ func (s *Server) serveLocal(ctx context.Context, w http.ResponseWriter, req runR
 // published for the followers; outcomes private to this request's
 // budget (deadline, client gone, admission failure) publish a retry
 // marker instead.
-func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, rawKey string, e *entry) {
+func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, e *entry) {
 	// The batch window: a fresh leader waits briefly before running, so
 	// identical requests that are about to arrive — from local clients
 	// or, via owner routing, from every replica in the fleet — join this
@@ -600,7 +602,7 @@ func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequ
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			s.results.publish(e, outcome{}, rawKey)
+			s.results.publish(e, outcome{})
 			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
 				s.writeError(w, http.StatusGatewayTimeout, "request timed out in the batch window")
 				return
@@ -617,7 +619,7 @@ func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequ
 		}
 		// Once published, the entry's size — leader plus every coalesced
 		// follower and fill — is final: that is this run's batch yield.
-		s.st.recordBatch(s.results.publish(e, outcome{code: http.StatusOK, body: respBody}, rawKey))
+		s.st.recordBatch(s.results.publish(e, outcome{code: http.StatusOK, body: respBody}))
 		s.writeBody(w, http.StatusOK, "application/json", "miss", respBody)
 		return nil
 	})
@@ -631,7 +633,7 @@ func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequ
 	if code == http.StatusInternalServerError {
 		shared = outcome{code: code, msg: msg}
 	}
-	s.results.publish(e, shared, rawKey)
+	s.results.publish(e, shared)
 }
 
 // execute is the one run path behind leadRun and streamRun. It admits

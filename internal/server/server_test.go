@@ -455,10 +455,10 @@ func TestServerStatsz(t *testing.T) {
 	if st.Cache.HitRate != 0.5 {
 		t.Errorf("hit_rate = %v, want 0.5", st.Cache.HitRate)
 	}
-	// One served result occupies two entries: the raw-body key and the
-	// canonical-structure key.
-	if st.Cache.Size != 2 {
-		t.Errorf("cache size = %d, want 2", st.Cache.Size)
+	// One served result is one answer; its raw-body key is an alias of
+	// the canonical entry and takes no slot.
+	if st.Cache.Size != 1 {
+		t.Errorf("cache size = %d, want 1", st.Cache.Size)
 	}
 	// The torus is 4-regular → portone; its histogram must have the run.
 	h, ok := st.LatencyMs["portone"]
