@@ -207,6 +207,11 @@ func BenchmarkSharded(b *testing.B) {
 		{"RandomRegular/n=100k,d=3", func() *graph.Graph {
 			return gen.MustRandomRegular(rand.New(rand.NewSource(17)), 100_000, 3)
 		}, core.RegularOdd{}},
+		// edsdbench's miss-multiround shape: 94 rounds of general(Δ=5)
+		// in which only a few percent of the port slots carry a message.
+		{"ThinnedRegular/n=25k,d=5", func() *graph.Graph {
+			return thinnedRegular(rand.New(rand.NewSource(29)), 25_000, 5, 0.2)
+		}, core.NewGeneral(5)},
 	}
 	for _, f := range families {
 		g := f.build()
@@ -223,6 +228,7 @@ func BenchmarkSharded(b *testing.B) {
 				}
 				b.ReportMetric(float64(rounds), "rounds")
 				b.ReportMetric(float64(g.N()), "nodes")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds*g.NumPorts()), "ns/port-round")
 			})
 		}
 	}
@@ -252,6 +258,18 @@ func BenchmarkSharded(b *testing.B) {
 			b.ReportMetric(float64(g.N()), "nodes")
 		})
 	}
+}
+
+// thinnedRegular is a random d-regular graph on n nodes with a share
+// drop of its edges removed at random: irregular, maximum degree d.
+func thinnedRegular(rng *rand.Rand, n, d int, drop float64) *graph.Graph {
+	reg := gen.MustRandomRegular(rng, n, d)
+	pairs := make([][2]int, 0, reg.M())
+	for _, e := range reg.Edges() {
+		pairs = append(pairs, [2]int{e.U(), e.V()})
+	}
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	return graph.MustFromUndirected(n, pairs[:len(pairs)-int(drop*float64(len(pairs)))])
 }
 
 // BenchmarkExactSolvers tracks the branch-and-bound baselines used to

@@ -28,6 +28,7 @@ import (
 	"log"
 	"os"
 
+	"eds/internal/core"
 	"eds/internal/sim"
 	"eds/internal/spec"
 )
@@ -60,7 +61,7 @@ func main() {
 	var opts []sim.Option
 	if *profile {
 		var traceOpt sim.Option
-		trace, traceOpt = sim.NewTrace()
+		trace, traceOpt = sim.NewTrace(core.MessageKind)
 		opts = append(opts, traceOpt)
 	}
 	run := sim.RunAuto

@@ -68,7 +68,8 @@ type (
 	// must not be retained past the call (see CONTRIBUTING.md and the
 	// outboxalias analyzer).
 	Node = sim.Node
-	// Message is one message on one port; nil means "no message".
+	// Message is one message on one port, one machine word; 0 means
+	// "no message".
 	Message = sim.Message
 	// StateArena is the engines' bump allocator for per-node algorithm
 	// state, recycled with the pooled run state.

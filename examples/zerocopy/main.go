@@ -18,10 +18,10 @@ import (
 	"eds"
 )
 
-// beat is the heartbeat message. A zero-size struct value: every
-// interface box of it points at the same runtime location, so emitting
-// it allocates nothing.
-type beat struct{}
+// beat is the heartbeat message. A message is one word and 0 means "no
+// message", so any non-zero constant will do; writing it allocates
+// nothing.
+const beat eds.Message = 1
 
 // pulse is a deliberately minimal custom algorithm: every node
 // broadcasts a heartbeat on all ports for a fixed number of rounds and
@@ -54,19 +54,19 @@ type pulseNode struct {
 }
 
 // SendInto writes into the engine-owned buffer and keeps nothing. buf
-// arrives all-nil with exactly one slot per port; slots left nil mean
+// arrives all-empty with exactly one slot per port; slots left 0 mean
 // "no message on that port". Retaining buf is a bug — the engine
 // rewrites it every round and pools it across runs — and the
 // outboxalias analyzer reports any attempt.
 func (n *pulseNode) SendInto(round int, buf []eds.Message) {
 	for i := range buf {
-		buf[i] = beat{}
+		buf[i] = beat
 	}
 }
 
 func (n *pulseNode) Receive(round int, inbox []eds.Message) {
 	for i, m := range inbox {
-		if _, ok := m.(beat); ok {
+		if m == beat {
 			n.heard[i]++
 		}
 	}

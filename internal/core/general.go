@@ -188,7 +188,7 @@ func phaseIIProposeStep() pstep[generalState] {
 				return
 			}
 			st.proposedPort = st.eligible[st.ptr]
-			buf[st.proposedPort] = msgProposal{}
+			buf[st.proposedPort] = msgProposal
 		},
 		recv: collectProposals,
 	}
@@ -214,13 +214,12 @@ func phaseIIAnswerStep() pstep[generalState] {
 			if st.proposedPort < 0 {
 				return
 			}
-			if m, ok := inbox[st.proposedPort].(msgAnswer); ok {
-				if m.Accept {
-					st.inSet[st.proposedPort] = true
-					st.matched = true
-				} else {
-					st.ptr++
-				}
+			switch inbox[st.proposedPort] {
+			case flagMsg(kindAnswer, true):
+				st.inSet[st.proposedPort] = true
+				st.matched = true
+			case flagMsg(kindAnswer, false):
+				st.ptr++
 			}
 			st.proposedPort = -1
 		},
@@ -258,7 +257,7 @@ func phaseIIIProposeStep() pstep[generalState] {
 				return
 			}
 			st.proposedPort = st.eligible[st.ptr]
-			buf[st.proposedPort] = msgProposal{}
+			buf[st.proposedPort] = msgProposal
 		},
 		recv: collectProposals,
 	}
@@ -283,13 +282,12 @@ func phaseIIIAnswerStep() pstep[generalState] {
 			if st.proposedPort < 0 {
 				return
 			}
-			if m, ok := inbox[st.proposedPort].(msgAnswer); ok {
-				if m.Accept {
-					st.inP[st.proposedPort] = true
-					st.sentAccepted = true
-				} else {
-					st.ptr++
-				}
+			switch inbox[st.proposedPort] {
+			case flagMsg(kindAnswer, true):
+				st.inP[st.proposedPort] = true
+				st.sentAccepted = true
+			case flagMsg(kindAnswer, false):
+				st.ptr++
 			}
 			st.proposedPort = -1
 		},
@@ -298,17 +296,17 @@ func phaseIIIAnswerStep() pstep[generalState] {
 
 // statusBroadcast sends the node's M-coverage flag on every port.
 func statusBroadcast(st *generalState, buf []sim.Message) {
-	cov := st.covered()
+	m := flagMsg(kindStatus, st.covered())
 	for idx := range buf {
-		buf[idx] = msgStatus{Covered: cov}
+		buf[idx] = m
 	}
 }
 
 // recordStatus stores the neighbours' coverage flags.
 func recordStatus(st *generalState, inbox []sim.Message) {
 	for idx, m := range inbox {
-		if s, ok := m.(msgStatus); ok {
-			st.nbrCovered[idx] = s.Covered
+		if kindOf(m) == kindStatus {
+			st.nbrCovered[idx] = payloadOf(m) != 0
 		}
 	}
 }
@@ -318,7 +316,7 @@ func recordStatus(st *generalState, inbox []sim.Message) {
 func collectProposals(st *generalState, inbox []sim.Message) {
 	st.proposalPorts = st.proposalPorts[:0]
 	for idx, m := range inbox {
-		if _, ok := m.(msgProposal); ok {
+		if m == msgProposal {
 			st.proposalPorts = append(st.proposalPorts, idx)
 		}
 	}
@@ -333,9 +331,9 @@ func answerProposals(st *generalState, buf []sim.Message, onAccept func(accepted
 	}
 	accepted := st.proposalPorts[0] // smallest port: inbox scanned in order
 	onAccept(accepted)
-	buf[accepted] = msgAnswer{Accept: true}
+	buf[accepted] = flagMsg(kindAnswer, true)
 	for _, idx := range st.proposalPorts[1:] {
-		buf[idx] = msgAnswer{Accept: false}
+		buf[idx] = flagMsg(kindAnswer, false)
 	}
 }
 
@@ -345,6 +343,6 @@ func rejectAll(st *generalState, buf []sim.Message) {
 		return
 	}
 	for _, idx := range st.proposalPorts {
-		buf[idx] = msgAnswer{Accept: false}
+		buf[idx] = flagMsg(kindAnswer, false)
 	}
 }

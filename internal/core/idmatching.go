@@ -50,15 +50,6 @@ func (IDMatching) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, 
 	}
 }
 
-// msgID carries the sender's identifier.
-type msgID struct{ ID int }
-
-// msgIDStatus reports the sender's matched flag.
-type msgIDStatus struct{ Matched bool }
-
-// msgPoint is the pointing proposal.
-type msgPoint struct{}
-
 type idNode struct {
 	id, deg     int
 	nbrID       []int
@@ -85,19 +76,19 @@ func (n *idNode) hasActiveNeighbour() bool {
 }
 
 // SendInto implements sim.Node, writing the round's messages straight
-// into the engine-owned buffer. Only the ID-exchange round
-// boxes a payload-carrying message (msgID); the steady-state status and
-// point rounds box zero- and bool-sized values, which Go interns, so
-// they allocate nothing.
+// into the engine-owned buffer; every message, the identifier included,
+// is packed into the message word, so no round allocates.
 func (n *idNode) SendInto(round int, buf []sim.Message) {
 	switch {
 	case n.round == 0:
+		m := pack(kindID, uint64(n.id))
 		for i := range buf {
-			buf[i] = msgID{ID: n.id}
+			buf[i] = m
 		}
 	case (n.round-1)%2 == 0: // status
+		m := flagMsg(kindIDStatus, n.matched())
 		for i := range buf {
-			buf[i] = msgIDStatus{Matched: n.matched()}
+			buf[i] = m
 		}
 	default: // point
 		n.pointedAt = -1
@@ -113,7 +104,7 @@ func (n *idNode) SendInto(round int, buf []sim.Message) {
 			}
 			if best >= 0 {
 				n.pointedAt = best
-				buf[best] = msgPoint{}
+				buf[best] = msgPoint
 			}
 		}
 	}
@@ -123,12 +114,12 @@ func (n *idNode) Receive(round int, inbox []sim.Message) {
 	switch {
 	case n.round == 0:
 		for idx, m := range inbox {
-			n.nbrID[idx] = m.(msgID).ID
+			n.nbrID[idx] = int(mustPayload(m, kindID))
 		}
 	case (n.round-1)%2 == 0: // status
 		for idx, m := range inbox {
-			if s, ok := m.(msgIDStatus); ok {
-				n.nbrMatched[idx] = s.Matched
+			if kindOf(m) == kindIDStatus {
+				n.nbrMatched[idx] = payloadOf(m) != 0
 			} else {
 				// Silence: the neighbour has stopped, hence is matched
 				// or has no prospects; either way it is unavailable.
@@ -146,7 +137,7 @@ func (n *idNode) Receive(round int, inbox []sim.Message) {
 		}
 	default: // point + resolve: the points sent this round arrive now
 		if n.pointedAt >= 0 {
-			if _, ok := inbox[n.pointedAt].(msgPoint); ok {
+			if inbox[n.pointedAt] == msgPoint {
 				n.matchedPort = n.pointedAt
 			}
 		}

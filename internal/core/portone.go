@@ -46,7 +46,7 @@ func portOneProgram(kind string) *program[portOneState] {
 			steps: []pstep[portOneState]{{
 				send: func(st *portOneState, buf []sim.Message) {
 					if len(buf) >= 1 {
-						buf[0] = msgMark{}
+						buf[0] = msgMark
 					}
 				},
 				recv: func(st *portOneState, inbox []sim.Message) {
@@ -54,7 +54,7 @@ func portOneProgram(kind string) *program[portOneState] {
 						st.chosen[0] = true
 					}
 					for idx, m := range inbox {
-						if _, ok := m.(msgMark); ok {
+						if m == msgMark {
 							st.chosen[idx] = true
 						}
 					}

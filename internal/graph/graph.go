@@ -14,7 +14,9 @@
 // routing table maps every global port index to the global index of its
 // involution partner; it is a self-inverse permutation whose fixed points
 // are the directed loops, and an engine routes a flat outbox into a flat
-// inbox with one gather, inbox[j] = outbox[RoutingTable()[j]]. A per-port
+// inbox by pushing each message sent on port j to
+// inbox[RoutingTable()[j]]; being an involution, the table gives every
+// inbox slot exactly one writer. A per-port
 // index into the canonical edge list completes the storage. Everything
 // else (Deg, P, EdgeAt, Neighbour, MaxDegree, Regular, Equal, Validate)
 // is derived from these arrays. Slices returned by the accessors share

@@ -38,13 +38,13 @@ type badNode struct {
 
 func (n *badNode) SendInto(round int, buf []sim.Message) {
 	if time.Now().UnixNano()%2 == 0 { // want `time\.Now`
-		buf[0] = "tick"
+		buf[0] = 1
 	}
 	if rand.Intn(2) == 1 { // want `forbids randomness`
-		buf[0] = "coin"
+		buf[0] = 2
 	}
 	for p := range n.seen { // want `map iteration order`
-		buf[p%n.deg] = "replay"
+		buf[p%n.deg] = 3
 	}
 	// No store into buf inside the loop, yet map order still picks the
 	// port: inside SendInto every map iteration is reported.
@@ -53,10 +53,10 @@ func (n *badNode) SendInto(round int, buf []sim.Message) {
 		pick = p
 	}
 	if pick >= 0 {
-		buf[pick%n.deg] = "pick"
+		buf[pick%n.deg] = 4
 	}
 	if round > epoch { // want `package-level state`
-		buf[0] = "late"
+		buf[0] = 5
 	}
 }
 
@@ -68,7 +68,7 @@ func (n *badNode) Receive(round int, inbox []sim.Message) {
 		count++
 	}
 	for i, m := range inbox {
-		if m != nil {
+		if m != 0 {
 			n.seen[i] = true
 		}
 	}
@@ -107,14 +107,14 @@ type goodNode struct {
 func (n *goodNode) SendInto(round int, buf []sim.Message) {
 	for i := range buf {
 		if n.seen[i] {
-			buf[i] = "ack"
+			buf[i] = 6
 		}
 	}
 }
 
 func (n *goodNode) Receive(round int, inbox []sim.Message) {
 	for i, m := range inbox {
-		if m != nil {
+		if m != 0 {
 			n.seen[i] = true
 		}
 	}

@@ -159,11 +159,11 @@ func TestTraceCrossEngineEquivalence(t *testing.T) {
 	for _, ng := range equivalenceCorpus(t) {
 		for _, alg := range algorithmsFor(ng.g) {
 			t.Run(ng.name+"/"+alg.Name(), func(t *testing.T) {
-				seqTrace, seqOpt := sim.NewTrace()
+				seqTrace, seqOpt := sim.NewTrace(core.MessageKind)
 				if _, err := sim.RunSequential(ng.g, alg, seqOpt); err != nil {
 					t.Fatalf("sequential: %v", err)
 				}
-				shTrace, shOpt := sim.NewTrace()
+				shTrace, shOpt := sim.NewTrace(core.MessageKind)
 				if _, err := sim.RunSharded(ng.g, alg, shOpt, sim.WithShards(runtime.NumCPU())); err != nil {
 					t.Fatalf("sharded: %v", err)
 				}
@@ -183,7 +183,7 @@ func TestTraceCrossEngineEquivalence(t *testing.T) {
 func TestAutoHonoursHookAboveThreshold(t *testing.T) {
 	n := sim.AutoShardedPorts // cycle: 2n ports, comfortably above the cutover
 	g := gen.Cycle(n)
-	tr, opt := sim.NewTrace()
+	tr, opt := sim.NewTrace(core.MessageKind)
 	res, err := sim.RunAuto(g, core.PortOne{}, opt)
 	if err != nil {
 		t.Fatalf("RunAuto: %v", err)
@@ -195,7 +195,7 @@ func TestAutoHonoursHookAboveThreshold(t *testing.T) {
 		t.Fatalf("trace counted %d messages, result says %d", tr.TotalMessages(), res.Messages)
 	}
 	// Cross-check against the sequential reference on the same graph.
-	refTrace, refOpt := sim.NewTrace()
+	refTrace, refOpt := sim.NewTrace(core.MessageKind)
 	if _, err := sim.RunSequential(g, core.PortOne{}, refOpt); err != nil {
 		t.Fatalf("sequential: %v", err)
 	}

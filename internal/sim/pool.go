@@ -8,8 +8,8 @@ import (
 )
 
 // runState is the engine-owned per-execution state: the node slice, the
-// per-node retirement flags, the flat double-buffered message arrays, and
-// the per-shard coordination state. It is recycled through a sync.Pool
+// per-node retirement flags, the flat outbox and inbox, and the
+// per-shard coordination state. It is recycled through a sync.Pool
 // so that repeated runs — the edsd serving pattern of many requests over
 // same-shape graphs — allocate nothing beyond the algorithm's own node
 // state: an acquired state whose slices already have the required
@@ -23,13 +23,14 @@ import (
 // have stopped — the release is deferred before the workers start, so
 // on cancellation, round-limit, or construction-error exits the deferred
 // worker shutdown runs first and no goroutine can touch a recycled
-// buffer. release clears every pointer-carrying slot (nodes, messages)
-// so the pool never pins node state or message payloads across runs.
+// buffer. release clears the node pointers so the pool never pins node
+// state across runs, and the inbox so the next run starts with every
+// slot empty.
 type runState struct {
 	nodes    []Node
 	done     []bool
 	outbox   []Message // flat send buffer, indexed by global port
-	inbox    []Message // flat receive buffer, gathered through the routing table
+	inbox    []Message // flat receive buffer, filled by the senders' push
 	stats    []shardStat
 	bounds   []int
 	hookView [][]Message // per-node outbox windows, built only for hooked runs
@@ -54,7 +55,7 @@ type runState struct {
 // shardStat is one shard's slot of per-round accounting. Workers touch
 // only their own slot, so the phases stay race-free by construction.
 type shardStat struct {
-	sent    int   // non-nil messages this round
+	sent    int   // non-empty messages this round
 	pending int   // nodes not yet retired
 	err     error // first construction or output error (lowest node in shard)
 }
@@ -85,7 +86,8 @@ func grow[T any](buf []T, n int) []T {
 
 // acquireState returns a runState ready for a run over n nodes and
 // ports global ports with p >= 1 shards. done and stats come back
-// zeroed; the message buffers are all-nil because release cleared them.
+// zeroed, and the inbox all-empty because release cleared it; the
+// outbox is cleared by each send phase before it is written.
 func acquireState(n, ports, p int) *runState {
 	s := statePool.Get().(*runState)
 	s.nodes = grow(s.nodes, n)
@@ -137,15 +139,17 @@ func (s *runState) buildNodes(g *graph.Graph, a Algorithm, lo, hi int, arena *St
 	return nil
 }
 
-// release clears every reference the state holds — node pointers and
-// boxed messages — and returns it to the pool. The engine calls it via
-// defer after all workers have stopped; a released state must never be
-// touched again by the run that held it. The arenas stay as they are:
-// their chunks hold only ints and bools, so they pin nothing, and
-// keeping them warm is what makes repeat construction allocation-free.
+// release clears the node pointers and the inbox and returns the state
+// to the pool. The engine calls it via defer after all workers have
+// stopped; a released state must never be touched again by the run that
+// held it. A run that completes its rounds leaves the inbox empty, but
+// one abandoned between a send and a receive phase (a panicking round
+// hook) does not, and push delivery writes only non-empty messages, so
+// the next run relies on this clear. The message buffers and the arenas
+// hold no pointers, so they pin nothing, and keeping the arenas warm is
+// what makes repeat construction allocation-free.
 func (s *runState) release() {
 	clear(s.nodes)
-	clear(s.outbox)
 	clear(s.inbox)
 	clear(s.stats)
 	clear(s.hookView)

@@ -10,12 +10,12 @@ import (
 // at which RunAuto (eds.RunAuto, edsrun's default, edsd, the harness
 // scaling study) switches from one inline shard to one shard per CPU.
 // Ports, not nodes, measure the work the shards parallelize — every
-// phase (node construction, send, routing gather, receive, output
-// collection) is linear in ports — while the overhead is per-round
-// barriers and per-run worker spawns, which are independent of graph
-// size. An earlier node-count threshold (4096) mis-ranked dense graphs
-// small and sparse graphs large; with the parallel prologue the port
-// crossover sits in the low tens of thousands on multi-core hardware.
+// phase (node construction, send and push, receive, output collection)
+// is linear in ports — while the overhead is per-round barriers and
+// per-run worker spawns, which are independent of graph size. An
+// earlier node-count threshold (4096) mis-ranked dense graphs small and
+// sparse graphs large; with the parallel prologue the port crossover
+// sits in the low tens of thousands on multi-core hardware.
 const AutoShardedPorts = 16384
 
 // EngineChoice is RunAuto's policy as a pure function of the run's
@@ -162,34 +162,40 @@ func (r *shardedRun) outputPhase(s, lo, hi int) {
 }
 
 // sendPhase clears the shard's outbox windows, lets every live node
-// write its own window, and counts the non-nil messages. Retired nodes'
-// windows stay nil.
+// write its own window, then walks the windows once: it counts each
+// non-empty message and pushes it into the receiving port's inbox slot,
+// inbox[route[j]]. Retired nodes' windows stay empty. The routing table
+// is an involution, so every inbox slot has exactly one writer across
+// all shards; the send→receive barrier orders the cross-shard writes
+// before any read.
 func (r *shardedRun) sendPhase(s, lo, hi int) {
 	st := r.st
-	out := st.outbox[r.off[lo]:r.off[hi]]
+	base, end := r.off[lo], r.off[hi]
+	out := st.outbox[base:end]
 	clear(out)
 	for v := lo; v < hi; v++ {
 		if !st.done[v] {
 			st.nodes[v].SendInto(r.round, st.outbox[r.off[v]:r.off[v+1]:r.off[v+1]])
 		}
 	}
+	route := r.route[base:end]
 	sent := 0
-	for _, m := range out {
-		if m != nil {
+	for k, m := range out {
+		if m != 0 {
+			st.inbox[route[k]] = m
 			sent++
 		}
 	}
 	st.stats[s].sent = sent
 }
 
-// recvPhase gathers the shard's inbox slots through the routing table,
-// delivers each node's contiguous inbox window, and retires nodes that
-// report Done.
+// recvPhase delivers each live node's contiguous inbox window, retires
+// nodes that report Done, and then empties the shard's inbox slots for
+// the next round's pushes. A message pushed to a node that had already
+// retired is cleared here unread. The receive→send barrier orders the
+// clear before the next round's writes.
 func (r *shardedRun) recvPhase(s, lo, hi int) {
 	st := r.st
-	for j := int(r.off[lo]); j < int(r.off[hi]); j++ {
-		st.inbox[j] = st.outbox[r.route[j]]
-	}
 	pending := 0
 	for v := lo; v < hi; v++ {
 		if st.done[v] {
@@ -202,6 +208,7 @@ func (r *shardedRun) recvPhase(s, lo, hi int) {
 			pending++
 		}
 	}
+	clear(st.inbox[r.off[lo]:r.off[hi]])
 	st.stats[s].pending = pending
 }
 
@@ -223,10 +230,12 @@ func (r *shardedRun) firstErr() error {
 // count; each round runs two phases separated by a barrier:
 //
 //	send:    every shard writes its nodes' outgoing messages into a flat
-//	         outbox indexed by global port number and counts them;
-//	receive: every shard gathers its inbox slots through the routing
-//	         table (inbox[j] = outbox[route[j]]), delivers each node's
-//	         contiguous inbox slice, and retires nodes that report Done.
+//	         outbox indexed by global port number, counts them, and
+//	         pushes each one into the inbox slot of the port it is
+//	         routed to (inbox[route[j]] = outbox[j]);
+//	receive: every shard delivers each node's contiguous inbox slice,
+//	         retires nodes that report Done, and empties its inbox
+//	         slots for the next round.
 //
 // The prologue and epilogue are sharded too: each shard builds its own
 // nodes (Algorithm.BuildNodes, state carved from a per-shard StateArena)
@@ -239,12 +248,14 @@ func (r *shardedRun) firstErr() error {
 // accounting all come from a pooled runState, and the workers persist
 // for the whole run, so a steady-state round performs zero allocations:
 // nodes write their messages straight into the outbox and the barriers
-// are plain channel operations. Results are bit-identical for every
-// shard count.
+// are plain channel operations. Only the messages actually sent are
+// moved, and the message arrays hold no pointers. Results are
+// bit-identical for every shard count.
 //
 // WithRoundHook is honoured: the hook observes the flat outbox through
 // per-node subslices, invoked between the send and receive barriers
-// where no worker goroutine is running (retired nodes' slots are nil).
+// where no worker goroutine is running. Every node's row has its full
+// degree; a retired node's row is all empty (0).
 func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	c := buildConfig(opts)
 	return run(g, a, &c)

@@ -6,9 +6,13 @@
 //
 // There is one round loop (sharded.go). It partitions the nodes into P
 // contiguous shards over the graph's flat routing table
-// (graph.RoutingTable) and runs every round over double-buffered flat
-// message arrays: no channels between nodes, no per-round allocation.
-// Two entry points drive it:
+// (graph.RoutingTable) and runs every round over two flat message
+// arrays indexed by global port: each node writes its outbox window, the
+// engine pushes every non-empty message straight into the receiving
+// port's inbox slot, and each node then reads its inbox window. A
+// message is one uint64, so the arrays hold no pointers: no channels
+// between nodes, no boxing, no per-round allocation. Two entry points
+// drive it:
 //
 //   - RunSequential is the loop with one shard, run inline on the
 //     caller's goroutine: the deterministic reference and the engine of
@@ -40,9 +44,14 @@ import (
 	"eds/internal/graph"
 )
 
-// Message is the content sent over one port in one round. nil means the
-// empty message; only non-nil messages are counted in Result.Messages.
-type Message any
+// Message is the content sent over one port in one round: one machine
+// word, which covers every message of the paper (an empty marker, a
+// flag, a port/degree label, an identifier) within the O(log n) bits of
+// the CONGEST model. 0 is the empty message; only non-zero messages are
+// sent, counted in Result.Messages and delivered. How the other values
+// are laid out is each algorithm's own business (internal/core packs a
+// kind tag and a payload).
+type Message uint64
 
 // Node is the state machine one node runs. Each round the engine calls
 // SendInto, then delivers the round's incoming messages via Receive;
@@ -50,15 +59,17 @@ type Message any
 // called again except for AppendOutput.
 type Node interface {
 	// SendInto writes the round's outgoing messages into buf, which has
-	// exactly one entry per port (index 0 is port 1) and arrives all-nil;
-	// ports left nil carry no message. buf is a window into the engine's
-	// pooled flat outbox, rewritten at the next round barrier: retaining
-	// buf, a reslice of it, or any alias past the call corrupts later
-	// rounds — the outboxalias analyzer (internal/lint) flags it.
-	// Retaining the message values written into it is always fine.
+	// exactly one entry per port (index 0 is port 1) and arrives
+	// all-empty (0); ports left 0 carry no message. buf is a window into
+	// the engine's pooled flat outbox, rewritten at the next round
+	// barrier: retaining buf, a reslice of it, or any alias past the call
+	// corrupts later rounds — the outboxalias analyzer (internal/lint)
+	// flags it. Retaining the message values written into it is always
+	// fine.
 	SendInto(round int, buf []Message)
-	// Receive delivers the incoming message of each port for this round.
-	// inbox is engine-owned and recycled like buf.
+	// Receive delivers the incoming message of each port for this round
+	// (0 where the neighbour sent nothing or has retired). inbox is
+	// engine-owned and recycled like buf.
 	Receive(round int, inbox []Message)
 	// Done reports whether the node has stopped.
 	Done() bool
@@ -102,7 +113,9 @@ type Result struct {
 	// Rounds is the number of communication rounds until every node
 	// stopped.
 	Rounds int
-	// Messages counts non-nil messages sent over the whole execution.
+	// Messages counts non-empty messages sent over the whole execution,
+	// including those sent to a neighbour that has already retired
+	// (which are never delivered).
 	Messages int
 }
 
@@ -150,13 +163,15 @@ func WithMaxRounds(n int) Option {
 
 // WithRoundHook installs a callback invoked after the send phase of every
 // round with the full message matrix (sent[v][i-1] = message sent by v on
-// port i; retired nodes' rows are nil). The engine presents its flat
-// outbox through per-node subslices and invokes the hook between the
-// send and receive barriers, where no worker is running, so traces and
-// figures work at every graph scale. The hook must treat the matrix as
-// read-only and must not retain it across rounds: the rows are views of
-// a flat buffer that is recycled at the next barrier (the outboxalias
-// analyzer in internal/lint enforces this mechanically).
+// port i). Every node has a row of its full degree, retired nodes too:
+// a retired node sends nothing, so its row is all empty (0). The engine
+// presents its flat outbox through per-node subslices and invokes the
+// hook between the send and receive barriers, where no worker is
+// running, so traces and figures work at every graph scale. The hook
+// must treat the matrix as read-only and must not retain it across
+// rounds: the rows are views of a flat buffer that is recycled at the
+// next barrier (the outboxalias analyzer in internal/lint enforces this
+// mechanically).
 func WithRoundHook(fn func(round int, sent [][]Message)) Option {
 	return func(c *config) { c.roundHook = fn }
 }

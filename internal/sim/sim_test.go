@@ -16,6 +16,12 @@ import (
 // mark port 1, select every edge that touches a port numbered 1.
 var markAlg = PerNode{"mark-port-one", func(degree int) Node { return &markNode{deg: degree} }}
 
+// mark and tick are the toy algorithms' messages: any non-zero word.
+const (
+	mark Message = 1
+	tick Message = 2
+)
+
 type markNode struct {
 	deg  int
 	done bool
@@ -24,7 +30,7 @@ type markNode struct {
 
 func (n *markNode) SendInto(round int, buf []Message) {
 	if n.deg > 0 {
-		buf[0] = "mark"
+		buf[0] = mark
 	}
 }
 
@@ -33,7 +39,7 @@ func (n *markNode) Receive(round int, inbox []Message) {
 		n.out = append(n.out, 1)
 	}
 	for i, m := range inbox {
-		if m == "mark" && i != 0 {
+		if m == mark && i != 0 {
 			n.out = append(n.out, i+1)
 		}
 	}
@@ -45,6 +51,8 @@ func (n *markNode) AppendOutput(dst []int) []int { return append(dst, n.out...) 
 
 // sumAlg runs `rounds` rounds, each node broadcasting a running sum seeded
 // with its degree; the output is empty. It exercises multi-round routing.
+// A node with a port has degree at least 1, so every sum it sends is
+// non-zero.
 func sumAlg(rounds int) Algorithm {
 	return PerNode{"degree-sum", func(degree int) Node { return &sumNode{left: rounds, sum: degree} }}
 }
@@ -55,13 +63,13 @@ type sumNode struct {
 
 func (n *sumNode) SendInto(round int, buf []Message) {
 	for i := range buf {
-		buf[i] = n.sum
+		buf[i] = Message(n.sum)
 	}
 }
 
 func (n *sumNode) Receive(round int, inbox []Message) {
 	for _, m := range inbox {
-		n.sum += m.(int)
+		n.sum += int(m)
 	}
 	n.left--
 }
@@ -189,7 +197,7 @@ type varNode struct{ left int }
 
 func (n *varNode) SendInto(round int, buf []Message) {
 	for i := range buf {
-		buf[i] = "tick"
+		buf[i] = tick
 	}
 }
 
@@ -294,7 +302,7 @@ func TestRoundHookSeesMessages(t *testing.T) {
 		rounds++
 		for _, row := range sent {
 			for _, m := range row {
-				if m != nil {
+				if m != 0 {
 					total++
 				}
 			}

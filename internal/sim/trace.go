@@ -7,32 +7,35 @@ import (
 )
 
 // Trace records the message profile of an execution round by round:
-// how many messages were sent and of which payload types. Attach it to
-// any run with its Option; it is the machinery behind the per-phase
+// how many messages were sent and of which kinds. Attach it to any run
+// with its Option; it is the machinery behind the per-phase
 // communication profiles in the experiment reports. Traces do not depend
 // on the shard count (a property test in engines_test.go enforces it).
 type Trace struct {
 	Rounds []RoundTrace
 }
 
-// RoundTrace is one round's profile.
+// RoundTrace is one round's profile: the message count, and the same
+// messages counted by kind name.
 type RoundTrace struct {
 	Round    int
 	Messages int
-	ByType   map[string]int
+	ByKind   map[string]int
 }
 
 // NewTrace returns an empty trace and the option that attaches it to a
-// run.
-func NewTrace() (*Trace, Option) {
+// run. kind names the kind of a non-empty message; a Message is an
+// opaque word to the engine, so the algorithm's package supplies it
+// (core.MessageKind for the paper's algorithms).
+func NewTrace(kind func(Message) string) (*Trace, Option) {
 	t := &Trace{}
 	return t, WithRoundHook(func(round int, sent [][]Message) {
-		rt := RoundTrace{Round: round, ByType: make(map[string]int)}
+		rt := RoundTrace{Round: round, ByKind: make(map[string]int)}
 		for _, row := range sent {
 			for _, m := range row {
-				if m != nil {
+				if m != 0 {
 					rt.Messages++
-					rt.ByType[fmt.Sprintf("%T", m)]++
+					rt.ByKind[kind(m)]++
 				}
 			}
 		}
@@ -49,30 +52,30 @@ func (t *Trace) TotalMessages() int {
 	return total
 }
 
-// TypeTotals aggregates the per-type counts over the whole run.
-func (t *Trace) TypeTotals() map[string]int {
+// KindTotals aggregates the per-kind counts over the whole run.
+func (t *Trace) KindTotals() map[string]int {
 	out := make(map[string]int)
 	for _, r := range t.Rounds {
-		for typ, c := range r.ByType {
-			out[typ] += c
+		for kind, c := range r.ByKind {
+			out[kind] += c
 		}
 	}
 	return out
 }
 
 // String renders a compact profile: total rounds and messages, the
-// per-type totals, and the busiest round.
+// per-kind totals, and the busiest round.
 func (t *Trace) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "rounds: %d, messages: %d\n", len(t.Rounds), t.TotalMessages())
-	totals := t.TypeTotals()
-	types := make([]string, 0, len(totals))
-	for typ := range totals {
-		types = append(types, typ)
+	totals := t.KindTotals()
+	kinds := make([]string, 0, len(totals))
+	for kind := range totals {
+		kinds = append(kinds, kind)
 	}
-	sort.Strings(types)
-	for _, typ := range types {
-		fmt.Fprintf(&sb, "  %-24s %6d\n", typ, totals[typ])
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		fmt.Fprintf(&sb, "  %-24s %6d\n", kind, totals[kind])
 	}
 	busiest := -1
 	for i, r := range t.Rounds {

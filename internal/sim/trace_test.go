@@ -9,7 +9,7 @@ import (
 
 func TestTraceRecordsProfile(t *testing.T) {
 	g := gen.Cycle(5)
-	tr, opt := NewTrace()
+	tr, opt := NewTrace(func(Message) string { return "sum" })
 	res, err := RunSequential(g, sumAlg(3), opt)
 	if err != nil {
 		t.Fatalf("RunSequential: %v", err)
@@ -20,12 +20,12 @@ func TestTraceRecordsProfile(t *testing.T) {
 	if tr.TotalMessages() != res.Messages {
 		t.Errorf("trace counted %d messages, result says %d", tr.TotalMessages(), res.Messages)
 	}
-	totals := tr.TypeTotals()
-	if totals["int"] != res.Messages {
-		t.Errorf("TypeTotals = %v, want all %d messages of type int", totals, res.Messages)
+	totals := tr.KindTotals()
+	if totals["sum"] != res.Messages {
+		t.Errorf("KindTotals = %v, want all %d messages of kind sum", totals, res.Messages)
 	}
 	out := tr.String()
-	for _, want := range []string{"rounds: 3", "int", "busiest round"} {
+	for _, want := range []string{"rounds: 3", "sum", "busiest round"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("String missing %q:\n%s", want, out)
 		}
@@ -34,7 +34,7 @@ func TestTraceRecordsProfile(t *testing.T) {
 
 func TestTraceEmptyRun(t *testing.T) {
 	g := gen.PerfectMatching(2)
-	tr, opt := NewTrace()
+	tr, opt := NewTrace(func(Message) string { return "mark" })
 	// markAlg stops after one round.
 	if _, err := RunSequential(g, markAlg, opt); err != nil {
 		t.Fatalf("RunSequential: %v", err)
